@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <optional>
 #include <unordered_map>
@@ -48,10 +49,27 @@ class RoutingTable {
     double seen_at = 0.0;
   };
 
+  // The map's own hasher: GUIDs are random, so mixing their two 64-bit
+  // words is enough, and far cheaper than GuidHash's byte-wise FNV-1a
+  // (which stays the trace's guid_hash, being part of the digest).
+  struct WordHash {
+    std::size_t operator()(const Guid& g) const noexcept {
+      std::uint64_t lo;
+      std::uint64_t hi;
+      std::memcpy(&lo, g.bytes.data(), sizeof lo);
+      std::memcpy(&hi, g.bytes.data() + sizeof lo, sizeof hi);
+      std::uint64_t h = lo ^ (hi * 0x9e3779b97f4a7c15ULL);
+      h ^= h >> 32;
+      h *= 0xd6e8feb86659fd93ULL;
+      h ^= h >> 32;
+      return static_cast<std::size_t>(h);
+    }
+  };
+
   void purge(double now);
 
   double expiry_;
-  std::unordered_map<Guid, Entry, GuidHash> entries_;
+  std::unordered_map<Guid, Entry, WordHash> entries_;
   std::deque<std::pair<double, Guid>> order_;  // insertion order for purge
 };
 

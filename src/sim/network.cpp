@@ -130,9 +130,11 @@ ConnId Network::connect(NodeId a, NodeId b) {
   const ConnId id = next_conn_id_++;
   connections_[id] = Connection{a, b, true};
   ++open_count_;
-  sim_.schedule_after(config_.latency_seconds, [this, id, a, b] {
+  sim_.schedule_in_order(sim_.now() + config_.latency_seconds, [this, id] {
     const auto it = connections_.find(id);
     if (it == connections_.end() || !it->second.open) return;
+    const NodeId a = it->second.a;
+    const NodeId b = it->second.b;
     if (!crashed_[a]) nodes_[a]->on_connection_open(id, b);
     if (!crashed_[b]) nodes_[b]->on_connection_open(id, a);
   });
@@ -161,14 +163,16 @@ void Network::close(ConnId conn) {
   // the other end, as it would be on a real connection.
   c.open = false;
   --open_count_;
-  const NodeId a = c.a;
-  const NodeId b = c.b;
   // The teardown notification queues behind every descriptor already
   // scheduled on either direction (FIFO floors), so jittered in-flight
   // data — a BYE in particular — still arrives before the close.
   const double at = std::max({sim_.now() + config_.latency_seconds,
                               c.fifo_a_to_b, c.fifo_b_to_a});
-  sim_.schedule_at(at, [this, conn, a, b] {
+  sim_.schedule_in_order(at, [this, conn] {
+    // Only this event erases the connection, so it is still there.
+    const Connection& closing = connections_.find(conn)->second;
+    const NodeId a = closing.a;
+    const NodeId b = closing.b;
     if (!crashed_[a]) nodes_[a]->on_connection_closed(conn);
     if (!crashed_[b]) nodes_[b]->on_connection_closed(conn);
     connections_.erase(conn);
@@ -177,7 +181,7 @@ void Network::close(ConnId conn) {
 
 void Network::deliver_wire(ConnId conn, NodeId receiver, double at,
                            std::vector<std::uint8_t> wire) {
-  sim_.schedule_at(at, [this, conn, receiver, bytes = std::move(wire)] {
+  sim_.schedule_in_order(at, [this, conn, receiver, bytes = std::move(wire)] {
     if (connections_.find(conn) == connections_.end() || crashed_[receiver]) {
       ++messages_dropped_;
       return;
@@ -299,33 +303,51 @@ void Network::send(ConnId conn, NodeId sender, gnutella::Message message) {
   }
   deliver_at = std::max(deliver_at, fifo);
   fifo = deliver_at;
-  if (duplicate) ++injector_->counters().messages_duplicated;
-  sim_.schedule_at(deliver_at,
-                   [this, conn, receiver, msg = duplicate ? message
-                                                          : std::move(message)] {
-    // Deliver as long as the teardown notification has not yet run
-    // (graceful-close semantics) and the receiver still exists.
-    if (connections_.find(conn) == connections_.end() || crashed_[receiver]) {
-      ++messages_dropped_;
-      return;
-    }
-    ++messages_delivered_;
-    nodes_[receiver]->on_message(conn, msg);
-  });
-  if (duplicate) {
-    double dup_at = std::max(
-        sim_.now() + config_.latency_seconds + injector_->jitter(), fifo);
-    fifo = dup_at;
-    sim_.schedule_at(dup_at, [this, conn, receiver, msg = std::move(message)] {
-      if (connections_.find(conn) == connections_.end() ||
-          crashed_[receiver]) {
-        ++messages_dropped_;
-        return;
-      }
-      ++messages_delivered_;
-      nodes_[receiver]->on_message(conn, msg);
-    });
+  if (!duplicate) {
+    schedule_delivery(conn, receiver, deliver_at, std::move(message));
+    return;
   }
+  ++injector_->counters().messages_duplicated;
+  schedule_delivery(conn, receiver, deliver_at, message);
+  const double dup_at = std::max(
+      sim_.now() + config_.latency_seconds + injector_->jitter(), fifo);
+  fifo = dup_at;
+  schedule_delivery(conn, receiver, dup_at, std::move(message));
+}
+
+void Network::schedule_delivery(ConnId conn, NodeId receiver, double at,
+                                gnutella::Message message) {
+  std::uint32_t slot;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(InFlight{conn, receiver, std::move(message)});
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+    InFlight& parked = in_flight_[slot];
+    parked.conn = conn;
+    parked.receiver = receiver;
+    parked.message = std::move(message);
+  }
+  sim_.schedule_in_order(at, [this, slot] { deliver(slot); });
+}
+
+void Network::deliver(std::uint32_t slot) {
+  // Take the descriptor out first: on_message may send, which can grow
+  // the slab and move its entries.
+  InFlight& parked = in_flight_[slot];
+  const ConnId conn = parked.conn;
+  const NodeId receiver = parked.receiver;
+  const gnutella::Message message = std::move(parked.message);
+  free_in_flight_.push_back(slot);
+  // Deliver as long as the teardown notification has not yet run
+  // (graceful-close semantics) and the receiver still exists.
+  if (connections_.find(conn) == connections_.end() || crashed_[receiver]) {
+    ++messages_dropped_;
+    return;
+  }
+  ++messages_delivered_;
+  nodes_[receiver]->on_message(conn, message);
 }
 
 void Network::send_handshake(ConnId conn, NodeId sender,
@@ -341,14 +363,14 @@ void Network::send_handshake(ConnId conn, NodeId sender,
     return;
   }
   const NodeId receiver = from_a ? c.b : c.a;
-  sim_.schedule_after(config_.latency_seconds,
-                      [this, conn, receiver, hs = std::move(handshake)] {
-                        if (connections_.find(conn) == connections_.end() ||
-                            crashed_[receiver]) {
-                          return;
-                        }
-                        nodes_[receiver]->on_handshake(conn, hs);
-                      });
+  sim_.schedule_in_order(sim_.now() + config_.latency_seconds,
+                         [this, conn, receiver, hs = std::move(handshake)] {
+                           if (connections_.find(conn) == connections_.end() ||
+                               crashed_[receiver]) {
+                             return;
+                           }
+                           nodes_[receiver]->on_handshake(conn, hs);
+                         });
 }
 
 bool Network::is_open(ConnId conn) const {

@@ -181,8 +181,20 @@ class Network {
   Connection& conn_ref(ConnId conn);
   const Connection& conn_ref(ConnId conn) const;
 
+  // A descriptor between send() and its delivery.  Its scheduled closure
+  // holds only the slab index, small enough for std::function's inline
+  // buffer, so a send allocates nothing once the slab is warm.
+  struct InFlight {
+    ConnId conn = 0;
+    NodeId receiver = 0;
+    gnutella::Message message;
+  };
+
   bool faults_on() const noexcept { return injector_ && injector_->enabled(); }
   void crash_unprotected_endpoint(ConnId conn);
+  void schedule_delivery(ConnId conn, NodeId receiver, double at,
+                         gnutella::Message message);
+  void deliver(std::uint32_t slot);
   void deliver_wire(ConnId conn, NodeId receiver, double at,
                     std::vector<std::uint8_t> wire);
 
@@ -193,6 +205,8 @@ class Network {
   std::vector<char> crashed_;
   std::vector<char> protected_;
   std::unordered_map<ConnId, Connection> connections_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   FaultInjector* injector_ = nullptr;
   obs::QueryTracer* qtracer_ = nullptr;
   obs::TimelineRecorder* timeline_ = nullptr;

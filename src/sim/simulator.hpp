@@ -5,12 +5,15 @@
 // are exactly reproducible.  Simulated time is in seconds from trace start
 // (the measurement node's local midnight of day 0), matching the paper's
 // time axes.
+//
+// The core allocates nothing per event once warm (DESIGN.md §15): handlers
+// sit in a slot slab with a free list, the 4-ary heap orders small
+// (time, sequence, slot) keys, and transport events whose times never
+// decrease bypass the heap on a FIFO lane.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace p2pgen::sim {
@@ -49,14 +52,22 @@ class Simulator {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `handler` to run at absolute time `at` (>= now()).
-  /// Returns an event id usable with cancel().
+  /// Returns a nonzero event id usable with cancel().
   std::uint64_t schedule_at(SimTime at, Handler handler);
 
   /// Schedules `handler` after `delay` seconds (>= 0).
   std::uint64_t schedule_after(SimTime delay, Handler handler);
 
-  /// Cancels a pending event.  Cancelling an already-fired or unknown id
-  /// is a no-op.  Returns true when an event was actually cancelled.
+  /// schedule_at() for a caller whose successive times rarely decrease
+  /// (the transport: every delivery is now + latency, plus a FIFO floor).
+  /// Such events skip the heap; one that would fire earlier than the
+  /// last event on the lane goes to the heap instead.  The firing order
+  /// is exactly the one schedule_at() would give.
+  std::uint64_t schedule_in_order(SimTime at, Handler handler);
+
+  /// Cancels a pending event.  Returns true when an event was actually
+  /// cancelled; an id that already fired, was already cancelled, or was
+  /// never issued returns false and changes nothing.
   bool cancel(std::uint64_t event_id);
 
   /// Runs events until the queue is empty or the next event is later than
@@ -67,31 +78,62 @@ class Simulator {
   void run();
 
   /// Number of pending (non-cancelled) events.
-  std::size_t pending() const noexcept { return queue_.size() - cancelled_count_; }
+  std::size_t pending() const noexcept { return pending_; }
 
   /// Total number of events executed so far.
   std::uint64_t executed() const noexcept { return executed_; }
 
  private:
-  struct Event {
+  // Firing order is (at, seq); `slot` names the handler in the slab.
+  struct Key {
     SimTime at;
-    std::uint64_t id;
-    Handler handler;
+    std::uint64_t seq;
+    std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
-    }
+  static bool before(const Key& a, const Key& b) noexcept {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+  }
+
+  // A handler slot.  Event ids are (generation << 32) | slot; releasing a
+  // slot bumps its generation, so ids of fired or cancelled events never
+  // match a reused slot.  Generations start at 1, so no id is 0.
+  struct Slot {
+    Handler handler;
+    std::uint32_t generation = 1;
+    bool live = false;
   };
 
+  Key make_key(SimTime at, Handler&& handler);
+  std::uint64_t id_of(std::uint32_t slot) const noexcept {
+    return (std::uint64_t{slots_[slot].generation} << 32) | slot;
+  }
+  void release(std::uint32_t slot);
+
+  void heap_push(const Key& key);
+  void heap_pop();
+
+  bool lane_empty() const noexcept { return lane_size_ == 0; }
+  const Key& lane_front() const noexcept { return lane_[lane_head_]; }
+  const Key& lane_back() const noexcept {
+    return lane_[(lane_head_ + lane_size_ - 1) & (lane_.size() - 1)];
+  }
+  void lane_push(const Key& key);
+  void lane_pop() noexcept {
+    lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+    --lane_size_;
+  }
+
   SimTime now_ = 0.0;
-  std::uint64_t next_id_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  // Cancelled ids, lazily skipped when popped.
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::size_t cancelled_count_ = 0;
+  std::size_t pending_ = 0;
+  std::vector<Key> heap_;  // 4-ary min-heap by before()
+  // FIFO ring buffer (power-of-two capacity) sorted by before().
+  std::vector<Key> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace p2pgen::sim

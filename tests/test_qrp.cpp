@@ -77,6 +77,52 @@ TEST(QrpTable, PatchRoundTrip) {
                std::invalid_argument);
 }
 
+TEST(QrpTable, DensePatchRoundTripKeepsEveryBit) {
+  // Enough keywords to set bits in every word of a 2^12 table, so the
+  // codec's byte/word packing is exercised at every offset.
+  QrpTable table(12);
+  for (int i = 0; i < 1500; ++i) {
+    table.insert_keyword("kw" + std::to_string(i));
+  }
+  const auto patch = table.to_patch();
+  const auto restored = QrpTable::from_patch(patch);
+  EXPECT_EQ(restored.to_patch(), patch);
+  EXPECT_DOUBLE_EQ(restored.fill_ratio(), table.fill_ratio());
+  std::size_t set = 0;
+  for (const std::uint8_t byte : patch) {
+    for (int b = 0; b < 8; ++b) set += (byte >> b) & 1u;
+  }
+  EXPECT_DOUBLE_EQ(table.fill_ratio(),
+                   static_cast<double>(set) / static_cast<double>(1u << 12));
+  EXPECT_GT(table.fill_ratio(), 0.2);
+  for (int i = 0; i < 1500; ++i) {
+    EXPECT_TRUE(restored.might_match("kw" + std::to_string(i)));
+  }
+}
+
+TEST(QrpTable, TableSmallerThanOneWordRoundTrips) {
+  // 2^5 = 32 bits: less than one 64-bit word, four patch bytes.
+  QrpTable table(5);
+  table.insert_keywords_of("a b c d e f g");
+  const auto patch = table.to_patch();
+  ASSERT_EQ(patch.size(), 4u);
+  // Bit i of the table is bit i % 8 of patch byte i / 8.
+  const std::uint32_t slot = QrpTable::hash_keyword("a", 5);
+  EXPECT_TRUE((patch[slot / 8] >> (slot % 8)) & 1u);
+  const auto restored = QrpTable::from_patch(patch);
+  EXPECT_EQ(restored.log2_size(), 5u);
+  EXPECT_EQ(restored.bit_count(), 32u);
+  EXPECT_DOUBLE_EQ(restored.fill_ratio(), table.fill_ratio());
+  EXPECT_GT(restored.fill_ratio(), 0.0);
+  EXPECT_TRUE(restored.might_match("a g"));
+  EXPECT_EQ(restored.to_patch(), patch);
+
+  // Merging the restored table into an empty one keeps the fill exact.
+  QrpTable merged(5);
+  merged.merge(restored);
+  EXPECT_DOUBLE_EQ(merged.fill_ratio(), table.fill_ratio());
+}
+
 TEST(QrpTable, RejectsBadSize) {
   EXPECT_THROW(QrpTable(0), std::invalid_argument);
   EXPECT_THROW(QrpTable(25), std::invalid_argument);
