@@ -5,9 +5,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <span>
 #include <sstream>
 
-#include "analysis/parallel.hpp"
 #include "behavior/sharded_simulation.hpp"
 #include "obs/metrics.hpp"
 #include "trace/trace_io.hpp"
@@ -21,7 +21,6 @@ namespace {
 void write_metrics_at_exit() {
   const char* path = std::getenv("P2PGEN_METRICS");
   if (path == nullptr) return;
-  analysis::publish_analysis_pool_metrics();
   std::ofstream out(path);
   obs::Registry::global().snapshot().write_json(out);
   out << "\n";
@@ -111,7 +110,6 @@ std::string bench_shard_cache_path(const BenchScale& scale, unsigned shard) {
 const trace::Trace& bench_trace() {
   static const trace::Trace trace = [] {
     const BenchScale scale = bench_scale();
-    analysis::set_analysis_threads(scale.threads);
     const behavior::TraceSimulationConfig config =
         bench_simulation_config(scale);
     const bool no_cache = std::getenv("P2PGEN_NO_CACHE") != nullptr;
@@ -209,13 +207,18 @@ void print_ccdf_family(const std::string& x_label,
                        const std::vector<std::string>& labels,
                        const std::vector<const std::vector<double>*>& samples,
                        double lo_floor, std::size_t points) {
-  // Shared grid spanning all samples; ECDF construction (the sort) fans
-  // across the analysis pool.
+  // Shared grid spanning all samples; a null sample prints as "-".
   double lo = lo_floor;
   double hi = lo_floor * 10.0;
-  const std::vector<stats::Ecdf> ecdfs = analysis::build_ecdfs(samples);
+  std::vector<stats::Ecdf> ecdfs;
+  ecdfs.reserve(samples.size());
   for (const auto* sample : samples) {
-    if (sample != nullptr && !sample->empty()) {
+    if (sample == nullptr) {
+      ecdfs.emplace_back(std::span<const double>{});
+      continue;
+    }
+    ecdfs.emplace_back(*sample);
+    if (!sample->empty()) {
       hi = std::max(hi, *std::max_element(sample->begin(), sample->end()));
     }
   }

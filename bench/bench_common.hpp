@@ -12,7 +12,7 @@
 //   P2PGEN_DAYS=<n>    — simulated days per shard (default 2)
 //   P2PGEN_FULL=1      — paper scale: 40 days (overrides P2PGEN_DAYS)
 //   P2PGEN_SHARDS=<n>  — replica shards merged into the trace (default 1)
-//   P2PGEN_THREADS=<n> — threads for simulation AND the analysis passes
+//   P2PGEN_THREADS=<n> — threads for the shard fan-out
 //                        (default: hardware concurrency)
 //   P2PGEN_NO_CACHE=1  — always re-simulate
 #pragma once

@@ -4,21 +4,18 @@
 // Runs the same sharded simulation (P2PGEN_SHARDS replicas of
 // P2PGEN_DAYS days each; defaults 4 x 2) at 1, 2, 4 and 8 threads,
 // checks that every merged trace is byte-identical (the determinism
-// contract), and then times the parallel analysis passes (filters,
-// session measures, Appendix fits) serial vs. parallel on the merged
-// trace.  Emits a single JSON object on stdout — the artifact the CI
-// bench-smoke job uploads — while the human-readable progress goes to
-// stderr.
+// contract), and then times the durable checkpoint path at several
+// fsync cadences against the in-memory run.  Emits a single JSON object
+// on stdout — the artifact the CI bench-smoke job uploads — while the
+// human-readable progress goes to stderr.
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
-#include <utility>
 #include <vector>
 
-#include "analysis/parallel.hpp"
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
 #include "bench_common.hpp"
@@ -55,10 +52,9 @@ int main() {
     std::size_t events;
   };
   std::vector<SimRun> sim_runs;
-  trace::Trace merged;  // kept from the last run for the analysis section
   for (const unsigned threads : thread_counts) {
     const auto start = std::chrono::steady_clock::now();
-    trace::Trace run_trace =
+    const trace::Trace run_trace =
         behavior::simulate_trace_sharded(model, config, scale.shards, threads);
     const double elapsed = seconds_since(start);
     sim_runs.push_back(
@@ -66,7 +62,6 @@ int main() {
     std::cerr << "[scaling] simulate threads=" << threads << "  "
               << std::fixed << std::setprecision(2) << elapsed << " s  ("
               << run_trace.size() << " events)\n";
-    merged = std::move(run_trace);
   }
   bool identical = true;
   for (const auto& run : sim_runs) {
@@ -116,34 +111,6 @@ int main() {
     fs::remove_all(dir);
   }
 
-  struct AnalysisRun {
-    unsigned threads;
-    double seconds;
-    double fit_probe;  // Table A.2 region-0 mu: must match across runs
-  };
-  std::vector<AnalysisRun> analysis_runs;
-  for (const unsigned threads : thread_counts) {
-    analysis::set_analysis_threads(threads);
-    auto dataset =
-        analysis::build_dataset(merged, geo::GeoIpDatabase::synthetic());
-    const auto start = std::chrono::steady_clock::now();
-    analysis::apply_filters(dataset);
-    const auto measures = analysis::session_measures(dataset);
-    const auto fits = analysis::fit_appendix_tables(measures);
-    const double elapsed = seconds_since(start);
-    analysis_runs.push_back({threads, elapsed, fits.queries[0].mu});
-    std::cerr << "[scaling] analysis threads=" << threads << "  "
-              << std::fixed << std::setprecision(3) << elapsed << " s\n";
-    // Drain the pool counters now: the next set_analysis_threads() call
-    // destroys this pool (and with it any unread stats).
-    analysis::publish_analysis_pool_metrics();
-  }
-  for (const auto& run : analysis_runs) {
-    identical =
-        identical && run.fit_probe == analysis_runs.front().fit_probe;
-  }
-  analysis::set_analysis_threads(1);
-
   std::ostringstream json;
   json << std::fixed << std::setprecision(4);
   json << "{\n"
@@ -160,15 +127,6 @@ int main() {
          << (run.seconds > 0.0 ? sim_runs.front().seconds / run.seconds : 0.0)
          << ", \"digest\": \"" << std::hex << run.digest << std::dec << "\"}"
          << (i + 1 < sim_runs.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"analysis\": [\n";
-  for (std::size_t i = 0; i < analysis_runs.size(); ++i) {
-    const auto& run = analysis_runs[i];
-    json << "    {\"threads\": " << run.threads << ", \"seconds\": "
-         << run.seconds << ", \"speedup\": "
-         << (run.seconds > 0.0 ? analysis_runs.front().seconds / run.seconds
-                               : 0.0)
-         << "}" << (i + 1 < analysis_runs.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"durability\": {\n"
        << "    \"threads\": " << durability_threads << ",\n"

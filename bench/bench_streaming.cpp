@@ -47,7 +47,6 @@
 #include <string>
 
 #include "analysis/dataset.hpp"
-#include "analysis/parallel.hpp"
 #include "analysis/streaming.hpp"
 #include "behavior/checkpoint.hpp"
 #include "geo/geoip.hpp"
@@ -175,7 +174,6 @@ double env_double(const char* name, double fallback) {
 int run_child(const std::string& phase, const std::string& dir) {
   const auto scale = bench::bench_scale();
   const auto config = streaming_bench_config(scale);
-  analysis::set_analysis_threads(static_cast<unsigned>(scale.threads));
 
   behavior::DurabilityConfig durability;
   durability.dir = dir;

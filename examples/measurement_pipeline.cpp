@@ -84,13 +84,20 @@
 // Pass a third argument "faults" (or "1") to run the same measurement on
 // a hostile overlay: message loss, byte corruption, duplication, jitter,
 // abrupt peer crashes and half-open links — and print the robustness
-// report showing how the hardened node coped.
+// report showing how the hardened node coped.  "none" (or "0") keeps the
+// overlay clean.
 //
 // Pass shards > 1 to run that many independently-seeded replica
 // measurements (each `days` long) merged into one trace — DESIGN.md §7 —
 // on up to `threads` threads (default: hardware concurrency).  The
-// merged trace is byte-identical for any thread count, and the analysis
-// passes below also fan across the same thread budget.
+// merged trace is byte-identical for any thread count.
+//
+// An unknown --flag, a days or rate that is not a positive number, a
+// third argument other than faults/1/none/0, or a shards or threads
+// value that is not a positive integer prints a one-line usage error and
+// exits with code 1.
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -98,6 +105,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -108,7 +116,6 @@
 #include "analysis/filters.hpp"
 #include "analysis/gaps.hpp"
 #include "analysis/model_fit.hpp"
-#include "analysis/parallel.hpp"
 #include "analysis/report.hpp"
 #include "analysis/streaming.hpp"
 #include "behavior/checkpoint.hpp"
@@ -182,6 +189,37 @@ void write_timeline_json(std::ostream& out,
   out << (points.empty() ? "]\n}\n" : "\n  ]\n}\n");
 }
 
+int usage_error(const std::string& problem) {
+  std::cerr << "measurement_pipeline: " << problem
+            << " (usage: measurement_pipeline [days] [arrival_rate] "
+               "[faults|none] [shards] [threads] [--<flag>=<value>...])\n";
+  return 1;
+}
+
+// The whole of `text` as a finite number > 0.
+bool parse_positive(const char* text, double& out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value <= 0.0) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+// The whole of `text` as a decimal integer in [1, UINT_MAX].
+bool parse_count(const char* text, unsigned& out) {
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0) return false;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || value == 0 ||
+      value > std::numeric_limits<unsigned>::max()) {
+    return false;
+  }
+  out = static_cast<unsigned>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -238,9 +276,36 @@ int main(int argc, char** argv) {
       }
       std::cout << "\n";
       return 0;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      return usage_error(std::string("unknown flag ") + argv[i]);
     } else {
       args.push_back(argv[i]);
     }
+  }
+  if (args.size() > 5) return usage_error("too many arguments");
+  double days = 1.0;
+  double arrival_rate = 1.0;
+  bool faults_on = false;
+  unsigned shards = 1;
+  unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  if (args.size() > 0 && !parse_positive(args[0], days)) {
+    return usage_error("days must be a positive number");
+  }
+  if (args.size() > 1 && !parse_positive(args[1], arrival_rate)) {
+    return usage_error("arrival_rate must be a positive number");
+  }
+  if (args.size() > 2) {
+    const std::string mode = args[2];
+    if (mode != "faults" && mode != "1" && mode != "none" && mode != "0") {
+      return usage_error("the third argument must be faults, 1, none or 0");
+    }
+    faults_on = mode == "faults" || mode == "1";
+  }
+  if (args.size() > 3 && !parse_count(args[3], shards)) {
+    return usage_error("shards must be a positive integer");
+  }
+  if (args.size() > 4 && !parse_count(args[4], threads)) {
+    return usage_error("threads must be a positive integer");
   }
   if (durability.resume && durability.dir.empty()) {
     std::cerr << "measurement_pipeline: --resume needs --checkpoint-dir=\n";
@@ -273,26 +338,12 @@ int main(int argc, char** argv) {
   if (!trace_json_path.empty()) obs::TraceLog::global().set_enabled(true);
 
   behavior::TraceSimulationConfig config;
-  config.duration_days = args.size() > 0 ? std::atof(args[0]) : 1.0;
-  config.arrival_rate = args.size() > 1 ? std::atof(args[1]) : 1.0;
+  config.duration_days = days;
+  config.arrival_rate = arrival_rate;
   config.seed = 20040315;
   config.qtrace.sample_rate = qtrace_sample;
   config.timeline.tick_seconds = timeline_tick;
 
-  const unsigned shards =
-      args.size() > 3 ? static_cast<unsigned>(std::atoi(args[3])) : 1;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned threads =
-      args.size() > 4 ? static_cast<unsigned>(std::atoi(args[4])) : hw;
-  if (shards == 0) {
-    std::cerr << "measurement_pipeline: shards must be >= 1\n";
-    return 1;
-  }
-  analysis::set_analysis_threads(threads);
-
-  const bool faults_on =
-      args.size() > 2 && (std::strcmp(args[2], "faults") == 0 ||
-                          std::strcmp(args[2], "1") == 0);
   if (faults_on) {
     config.faults.loss_prob = 0.03;
     config.faults.corrupt_prob = 0.01;
@@ -648,7 +699,6 @@ int main(int argc, char** argv) {
             << " (ground truth 0.65)\n"
             << "  model validates: yes\n";
 
-  analysis::publish_analysis_pool_metrics();
   obs::publish_process_metrics();
   if (!metrics_path.empty() || !trace_json_path.empty() ||
       !query_trace_dir.empty() || !timeline_dir.empty()) {

@@ -3,28 +3,20 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "analysis/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace p2pgen::analysis {
 namespace {
 
-/// Sessions per parallel work unit.  A pure constant: chunk boundaries
-/// must depend only on the dataset, never on the thread count, so the
-/// chunk-ordered reduction below is identical for every pool size.
-constexpr std::size_t kSessionChunk = 512;
+// Sessions are independent under every rule (rule 2's repeat set is
+// per-session), so the rules run as five steps over one session at a
+// time; each step only reads marks left by earlier steps.
 
-// The rules run as five sequential parallel passes — one ObsSpan per
-// paper rule — rather than one fused per-session loop.  Sessions are
-// independent under every rule (rule 2's repeat set is per-session), and
-// each pass only reads marks left by earlier passes, so the marks and the
-// Table-2 counters are identical to the fused form's.
-
-/// Pass 1: reset marks, count the initial Table-2 row, and remove SHA1
+/// Rule 1: reset marks, count the initial Table-2 row, and remove SHA1
 /// source-search re-queries (empty keyword set).
-void pass_rule1(ObservedSession& session, const FilterOptions& options,
-                FilterReport& report) {
+void apply_rule1(ObservedSession& session, const FilterOptions& options,
+                 FilterReport& report) {
   if (!session.has_end) return;  // truncated: never counted
   session.removed = false;
   ++report.initial_sessions;
@@ -39,11 +31,11 @@ void pass_rule1(ObservedSession& session, const FilterOptions& options,
   }
 }
 
-/// Pass 2: remove identical keyword sets re-issued within one session.
-/// Only rule-1 survivors enter the repeat set, exactly as in the fused
-/// loop (a rule-1 removal never shadowed a later genuine query).
-void pass_rule2(ObservedSession& session, const FilterOptions& options,
-                FilterReport& report) {
+/// Rule 2: remove identical keyword sets re-issued within one session.
+/// Only rule-1 survivors enter the repeat set (a rule-1 removal never
+/// shadows a later genuine query).
+void apply_rule2(ObservedSession& session, const FilterOptions& options,
+                 FilterReport& report) {
   if (!session.has_end || !options.rule2_repeats) return;
   std::unordered_set<std::string> seen;
   for (auto& query : session.queries) {
@@ -55,10 +47,10 @@ void pass_rule2(ObservedSession& session, const FilterOptions& options,
   }
 }
 
-/// Pass 3: drop whole short sessions, and count the final Table-2 row
+/// Rule 3: drop whole short sessions, and count the final Table-2 row
 /// for the survivors.
-void pass_rule3(ObservedSession& session, const FilterOptions& options,
-                FilterReport& report) {
+void apply_rule3(ObservedSession& session, const FilterOptions& options,
+                 FilterReport& report) {
   if (!session.has_end) return;
   const bool short_session = options.rule3_short_sessions &&
                              session.duration() < options.min_session_seconds;
@@ -78,11 +70,11 @@ void pass_rule3(ObservedSession& session, const FilterOptions& options,
   report.final_queries += surviving;
 }
 
-/// Pass 4: exclude sub-second interarrivals from the interarrival
-/// measure.  Marks only; the usable-query count is settled in pass 5,
-/// which knows rule 5's verdict too.
-void pass_rule4(ObservedSession& session, const FilterOptions& options,
-                FilterReport& report) {
+/// Rule 4: exclude sub-second interarrivals from the interarrival
+/// measure.  Marks only; the usable-query count is settled by rule 5,
+/// which knows both verdicts.
+void apply_rule4(ObservedSession& session, const FilterOptions& options,
+                 FilterReport& report) {
   if (!session.has_end || session.removed || !options.rule4_subsecond) return;
   const ObservedQuery* prev = nullptr;
   for (auto& query : session.queries) {
@@ -96,13 +88,12 @@ void pass_rule4(ObservedSession& session, const FilterOptions& options,
   }
 }
 
-/// Pass 5: exclude fixed-interval replays (gap equal to the previous
+/// Rule 5: exclude fixed-interval replays (gap equal to the previous
 /// gap) and count the queries usable for the interarrival measure.  The
 /// previous-gap window advances over every kept query — rule-4 exclusions
-/// included — matching the fused loop, where exclusion never restarted
-/// the gap chain.
-void pass_rule5(ObservedSession& session, const FilterOptions& options,
-                FilterReport& report) {
+/// included — so an exclusion never restarts the gap chain.
+void apply_rule5(ObservedSession& session, const FilterOptions& options,
+                 FilterReport& report) {
   if (!session.has_end || session.removed) return;
   const ObservedQuery* prev = nullptr;
   double prev_gap = -1.0;
@@ -129,20 +120,6 @@ void pass_rule5(ObservedSession& session, const FilterOptions& options,
   }
 }
 
-void add_report(FilterReport& total, const FilterReport& part) {
-  total.initial_queries += part.initial_queries;
-  total.initial_sessions += part.initial_sessions;
-  total.rule1_removed += part.rule1_removed;
-  total.rule2_removed += part.rule2_removed;
-  total.rule3_removed_queries += part.rule3_removed_queries;
-  total.rule3_removed_sessions += part.rule3_removed_sessions;
-  total.final_queries += part.final_queries;
-  total.final_sessions += part.final_sessions;
-  total.rule4_excluded += part.rule4_excluded;
-  total.rule5_excluded += part.rule5_excluded;
-  total.interarrival_queries += part.interarrival_queries;
-}
-
 }  // namespace
 
 void publish_filter_metrics(const FilterReport& report) {
@@ -167,40 +144,19 @@ void publish_filter_metrics(const FilterReport& report) {
 void apply_filters_to_session(ObservedSession& session,
                               const FilterOptions& options,
                               FilterReport& report) {
-  pass_rule1(session, options, report);
-  pass_rule2(session, options, report);
-  pass_rule3(session, options, report);
-  pass_rule4(session, options, report);
-  pass_rule5(session, options, report);
+  apply_rule1(session, options, report);
+  apply_rule2(session, options, report);
+  apply_rule3(session, options, report);
+  apply_rule4(session, options, report);
+  apply_rule5(session, options, report);
 }
 
 FilterReport apply_filters(TraceDataset& dataset, const FilterOptions& options) {
-  obs::ObsSpan filters_span("analysis.filters");
-  const std::size_t n = dataset.sessions.size();
-  std::vector<FilterReport> partial(
-      util::ThreadPool::chunk_count(n, kSessionChunk));
-
-  const auto run_pass = [&](const char* span_name,
-                            void (*pass)(ObservedSession&,
-                                         const FilterOptions&,
-                                         FilterReport&)) {
-    obs::ObsSpan span(span_name);
-    analysis_pool().for_chunks(
-        n, kSessionChunk,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            pass(dataset.sessions[i], options, partial[chunk]);
-          }
-        });
-  };
-  run_pass("filter.rule1_sha1_requeries", pass_rule1);
-  run_pass("filter.rule2_session_repeats", pass_rule2);
-  run_pass("filter.rule3_short_sessions", pass_rule3);
-  run_pass("filter.rule4_subsecond", pass_rule4);
-  run_pass("filter.rule5_identical_gaps", pass_rule5);
-
+  obs::ObsSpan span("analysis.filters");
   FilterReport report;
-  for (const auto& part : partial) add_report(report, part);
+  for (auto& session : dataset.sessions) {
+    apply_filters_to_session(session, options, report);
+  }
   publish_filter_metrics(report);
   return report;
 }

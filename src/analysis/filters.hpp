@@ -54,8 +54,8 @@ FilterReport apply_filters(TraceDataset& dataset, const FilterOptions& options =
 /// Applies all five rules to ONE session, accumulating its Table-2 rows
 /// into `report`.  Sessions are independent under every rule (rule 2's
 /// repeat set is per-session), so summing per-session reports over any
-/// session order equals apply_filters() exactly — this is the streaming
-/// path's fused form of the five global passes.
+/// session order equals apply_filters() exactly.  apply_filters() loops
+/// over this; the streaming pass calls it as each session closes.
 void apply_filters_to_session(ObservedSession& session,
                               const FilterOptions& options,
                               FilterReport& report);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/parallel.hpp"
 #include "obs/span.hpp"
 #include "sim/simulator.hpp"
 
@@ -188,173 +187,88 @@ PassiveFraction passive_fraction(const TraceDataset& dataset) {
   return acc.finalize();
 }
 
-namespace {
-
-/// Sessions per parallel work unit for session_measures().  Fixed so the
-/// partial-measure boundaries — and with them the final sample order —
-/// are independent of the thread count.
-constexpr std::size_t kMeasureChunk = 512;
-
-}  // namespace
-
 void accumulate_session_measures(SessionMeasures& m,
                                  const ObservedSession& session) {
+  if (session.removed || !session.region) return;
+  const std::size_t r = idx(*session.region);
+
+  if (!session.active()) {
+    const double d = session.duration();
+    m.passive_duration_by_region[r].push_back(d);
+    if (const auto kp = key_period_of(session.start)) {
+      m.passive_duration_by_key_period[r][*kp].push_back(d);
+    }
+    const auto dp = static_cast<std::size_t>(period_of(*session.region,
+                                                       session.start));
+    m.passive_duration_by_day_period[r][dp].push_back(d);
+    return;
+  }
+
+  const std::size_t n = session.counted_queries();
+  m.queries_by_region[r].push_back(static_cast<double>(n));
+  if (const auto kp = key_period_of(session.start)) {
+    m.queries_by_key_period[r][*kp].push_back(static_cast<double>(n));
+  }
+
+  // First/last counted query define the session's query phase.
+  const ObservedQuery* first = nullptr;
+  const ObservedQuery* last = nullptr;
+  const ObservedQuery* prev_kept = nullptr;
+  const auto iac = static_cast<std::size_t>(core::interarrival_class(n));
+  for (const auto& query : session.queries) {
+    if (!query.kept()) continue;
+    if (prev_kept != nullptr && !query.excluded_from_interarrival) {
+      const double gap = query.time - prev_kept->time;
+      m.interarrival_by_region[r].push_back(gap);
+      m.interarrival_by_class[r][iac].push_back(gap);
+      if (const auto kp = key_period_of(query.time)) {
+        m.interarrival_by_key_period[r][*kp].push_back(gap);
+      }
+      const auto dp =
+          static_cast<std::size_t>(period_of(*session.region, query.time));
+      m.interarrival_by_day_period[r][dp].push_back(gap);
+    }
+    prev_kept = &query;
+    if (!query.excluded_from_interarrival) {
+      if (first == nullptr) first = &query;
+      last = &query;
+    }
+  }
+  if (first == nullptr) return;  // defensive: active implies counted > 0
+
+  const double first_gap = first->time - session.start;
+  const auto fqc = static_cast<std::size_t>(core::first_query_class(n));
+  m.first_query_by_region[r].push_back(first_gap);
+  m.first_query_by_class[r][fqc].push_back(first_gap);
+  if (const auto kp = key_period_of(session.start)) {
+    m.first_query_by_key_period[r][*kp].push_back(first_gap);
+  }
   {
-    if (session.removed || !session.region) return;
-    const std::size_t r = idx(*session.region);
+    const auto dp =
+        static_cast<std::size_t>(period_of(*session.region, session.start));
+    m.first_query_by_period_class[r][dp][fqc].push_back(first_gap);
+  }
 
-    if (!session.active()) {
-      const double d = session.duration();
-      m.passive_duration_by_region[r].push_back(d);
-      if (const auto kp = key_period_of(session.start)) {
-        m.passive_duration_by_key_period[r][*kp].push_back(d);
-      }
-      const auto dp = static_cast<std::size_t>(period_of(*session.region,
-                                                         session.start));
-      m.passive_duration_by_day_period[r][dp].push_back(d);
-      return;
-    }
-
-    const std::size_t n = session.counted_queries();
-    m.queries_by_region[r].push_back(static_cast<double>(n));
-    if (const auto kp = key_period_of(session.start)) {
-      m.queries_by_key_period[r][*kp].push_back(static_cast<double>(n));
-    }
-
-    // First/last counted query define the session's query phase.
-    const ObservedQuery* first = nullptr;
-    const ObservedQuery* last = nullptr;
-    const ObservedQuery* prev_kept = nullptr;
-    const auto iac = static_cast<std::size_t>(core::interarrival_class(n));
-    for (const auto& query : session.queries) {
-      if (!query.kept()) continue;
-      if (prev_kept != nullptr && !query.excluded_from_interarrival) {
-        const double gap = query.time - prev_kept->time;
-        m.interarrival_by_region[r].push_back(gap);
-        m.interarrival_by_class[r][iac].push_back(gap);
-        if (const auto kp = key_period_of(query.time)) {
-          m.interarrival_by_key_period[r][*kp].push_back(gap);
-        }
-        const auto dp =
-            static_cast<std::size_t>(period_of(*session.region, query.time));
-        m.interarrival_by_day_period[r][dp].push_back(gap);
-      }
-      prev_kept = &query;
-      if (!query.excluded_from_interarrival) {
-        if (first == nullptr) first = &query;
-        last = &query;
-      }
-    }
-    if (first == nullptr) return;  // defensive: active implies counted > 0
-
-    const double first_gap = first->time - session.start;
-    const auto fqc = static_cast<std::size_t>(core::first_query_class(n));
-    m.first_query_by_region[r].push_back(first_gap);
-    m.first_query_by_class[r][fqc].push_back(first_gap);
-    if (const auto kp = key_period_of(session.start)) {
-      m.first_query_by_key_period[r][*kp].push_back(first_gap);
-    }
-    {
-      const auto dp =
-          static_cast<std::size_t>(period_of(*session.region, session.start));
-      m.first_query_by_period_class[r][dp][fqc].push_back(first_gap);
-    }
-
-    const double last_gap = session.end - last->time;
-    const auto lqc = static_cast<std::size_t>(core::last_query_class(n));
-    m.after_last_by_region[r].push_back(last_gap);
-    m.after_last_by_class[r][lqc].push_back(last_gap);
-    if (const auto kp = key_period_of(last->time)) {
-      m.after_last_by_key_period[r][*kp].push_back(last_gap);
-    }
-    {
-      const auto dp =
-          static_cast<std::size_t>(period_of(*session.region, last->time));
-      m.after_last_by_period_class[r][dp][lqc].push_back(last_gap);
-    }
+  const double last_gap = session.end - last->time;
+  const auto lqc = static_cast<std::size_t>(core::last_query_class(n));
+  m.after_last_by_region[r].push_back(last_gap);
+  m.after_last_by_class[r][lqc].push_back(last_gap);
+  if (const auto kp = key_period_of(last->time)) {
+    m.after_last_by_key_period[r][*kp].push_back(last_gap);
+  }
+  {
+    const auto dp =
+        static_cast<std::size_t>(period_of(*session.region, last->time));
+    m.after_last_by_period_class[r][dp][lqc].push_back(last_gap);
   }
 }
-
-namespace {
-
-void append_samples(std::vector<double>& dst, std::vector<double>& src) {
-  if (dst.empty()) {
-    dst = std::move(src);
-  } else {
-    dst.insert(dst.end(), src.begin(), src.end());
-  }
-}
-
-/// Moves every sample vector of `src` onto the end of the corresponding
-/// vector of `dst`.  Called in chunk-index order, which makes the merged
-/// sample order identical to a serial pass over the sessions.
-void append_measures(SessionMeasures& dst, SessionMeasures& src) {
-  for (std::size_t r = 0; r < kRegions; ++r) {
-    append_samples(dst.passive_duration_by_region[r],
-                   src.passive_duration_by_region[r]);
-    append_samples(dst.queries_by_region[r], src.queries_by_region[r]);
-    append_samples(dst.first_query_by_region[r], src.first_query_by_region[r]);
-    append_samples(dst.interarrival_by_region[r],
-                   src.interarrival_by_region[r]);
-    append_samples(dst.after_last_by_region[r], src.after_last_by_region[r]);
-    for (std::size_t k = 0; k < kKeyPeriodCount; ++k) {
-      append_samples(dst.passive_duration_by_key_period[r][k],
-                     src.passive_duration_by_key_period[r][k]);
-      append_samples(dst.queries_by_key_period[r][k],
-                     src.queries_by_key_period[r][k]);
-      append_samples(dst.first_query_by_key_period[r][k],
-                     src.first_query_by_key_period[r][k]);
-      append_samples(dst.interarrival_by_key_period[r][k],
-                     src.interarrival_by_key_period[r][k]);
-      append_samples(dst.after_last_by_key_period[r][k],
-                     src.after_last_by_key_period[r][k]);
-    }
-    for (std::size_t c = 0; c < core::kFirstQueryClassCount; ++c) {
-      append_samples(dst.first_query_by_class[r][c],
-                     src.first_query_by_class[r][c]);
-    }
-    for (std::size_t c = 0; c < core::kInterarrivalClassCount; ++c) {
-      append_samples(dst.interarrival_by_class[r][c],
-                     src.interarrival_by_class[r][c]);
-    }
-    for (std::size_t c = 0; c < core::kLastQueryClassCount; ++c) {
-      append_samples(dst.after_last_by_class[r][c],
-                     src.after_last_by_class[r][c]);
-    }
-    for (std::size_t p = 0; p < core::kDayPeriodCount; ++p) {
-      append_samples(dst.passive_duration_by_day_period[r][p],
-                     src.passive_duration_by_day_period[r][p]);
-      append_samples(dst.interarrival_by_day_period[r][p],
-                     src.interarrival_by_day_period[r][p]);
-      for (std::size_t c = 0; c < core::kFirstQueryClassCount; ++c) {
-        append_samples(dst.first_query_by_period_class[r][p][c],
-                       src.first_query_by_period_class[r][p][c]);
-      }
-      for (std::size_t c = 0; c < core::kLastQueryClassCount; ++c) {
-        append_samples(dst.after_last_by_period_class[r][p][c],
-                       src.after_last_by_period_class[r][p][c]);
-      }
-    }
-  }
-}
-
-}  // namespace
 
 SessionMeasures session_measures(const TraceDataset& dataset) {
   obs::ObsSpan span("analysis.session_measures");
-  const std::size_t n = dataset.sessions.size();
-  std::vector<SessionMeasures> partial(
-      util::ThreadPool::chunk_count(n, kMeasureChunk));
-  analysis_pool().for_chunks(
-      n, kMeasureChunk,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          accumulate_session_measures(partial[chunk], dataset.sessions[i]);
-        }
-      });
-
   SessionMeasures m;
-  for (auto& part : partial) append_measures(m, part);
+  for (const auto& session : dataset.sessions) {
+    accumulate_session_measures(m, session);
+  }
   return m;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/parallel.hpp"
 #include "obs/span.hpp"
 
 namespace p2pgen::analysis {
@@ -32,29 +31,18 @@ AppendixFits fit_appendix_tables(const SessionMeasures& measures,
   obs::ObsSpan span("analysis.appendix_fits");
   AppendixFits fits;
 
-  // Every (region, period) cell — and each region's Table A.2 fit — is
-  // computed from its own sample set into its own slot of `fits`, so the
-  // whole grid fans across the analysis pool with bit-identical results
-  // for any thread count.  One flat index covers both:
-  //   i < kRegions                 -> Table A.2 fit for region i,
-  //   i >= kRegions                -> (region, period) cell for A.1/A.3-A.5.
-  const std::size_t grid = kRegions * core::kDayPeriodCount;
-  analysis_pool().run_indexed(kRegions + grid, [&](std::size_t i) {
-    if (i < kRegions) {
-      const std::size_t r = i;
-      // Table A.2 (rounding-censored MLE: counts are discretized).
-      if (measures.queries_by_region[r].size() >= min_samples) {
-        fits.queries[r] =
-            stats::fit_lognormal_discretized(measures.queries_by_region[r]);
-      } else {
-        fits.queries[r] = {0.0, 0.0};  // sigma 0 = not fit
-      }
-      return;
+  for (std::size_t r = 0; r < kRegions; ++r) {
+    // Table A.2 (rounding-censored MLE: counts are discretized).
+    if (measures.queries_by_region[r].size() >= min_samples) {
+      fits.queries[r] =
+          stats::fit_lognormal_discretized(measures.queries_by_region[r]);
+    } else {
+      fits.queries[r] = {0.0, 0.0};  // sigma 0 = not fit
     }
-    const std::size_t cell = i - kRegions;
-    const std::size_t r = cell / core::kDayPeriodCount;
-    const std::size_t p = cell % core::kDayPeriodCount;
-    {
+  }
+
+  for (std::size_t r = 0; r < kRegions; ++r) {
+    for (std::size_t p = 0; p < core::kDayPeriodCount; ++p) {
       // Table A.1.
       const auto& passive = measures.passive_duration_by_day_period[r][p];
       if (splittable(passive, splits.passive_split, min_samples)) {
@@ -101,7 +89,7 @@ AppendixFits fit_appendix_tables(const SessionMeasures& measures,
         }
       }
     }
-  });
+  }
   return fits;
 }
 

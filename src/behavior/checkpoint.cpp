@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -107,27 +108,51 @@ struct Manifest {
     fsync_path(dir, /*directory=*/true);
   }
 
+  /// Throws std::runtime_error on anything but a well-formed manifest:
+  /// a bad header, an unknown key, a missing identity or shards line, a
+  /// non-numeric value, or a done index outside [0, shards).
   static Manifest read(const std::string& dir) {
     const std::string path = (fs::path(dir) / kManifestName).string();
     std::ifstream f(path);
     if (!f) throw std::runtime_error("checkpoint: cannot read " + path);
+    const auto malformed = [&](const std::string& what) {
+      return std::runtime_error("checkpoint: malformed manifest " + path +
+                                ": " + what);
+    };
     Manifest m;
     std::string header;
     std::getline(f, header);
     if (header != kManifestHeader) {
       throw std::runtime_error("checkpoint: bad manifest header in " + path);
     }
+    const auto number = [&](const std::string& key, auto& out) {
+      std::string token;
+      f >> token;
+      const char* end = token.data() + token.size();
+      const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+      if (token.empty() || ec != std::errc{} || ptr != end) {
+        throw malformed("'" + key + "' needs a number, got '" + token + "'");
+      }
+    };
+    bool have_identity = false;
+    bool have_shards = false;
     std::string key;
     while (f >> key) {
       if (key == "identity") {
-        f >> m.identity;
+        number(key, m.identity);
+        have_identity = true;
       } else if (key == "shards") {
-        f >> m.n_shards;
+        number(key, m.n_shards);
         m.done.assign(m.n_shards, 0);
+        have_shards = true;
       } else if (key == "done") {
         unsigned k = 0;
-        f >> k;
-        if (k < m.done.size()) m.done[k] = 1;
+        number(key, k);
+        if (k >= m.done.size()) {
+          throw malformed("done " + std::to_string(k) + " is not below " +
+                          "shards " + std::to_string(m.n_shards));
+        }
+        m.done[k] = 1;
       } else if (key == "stopped") {
         f >> m.stop_reason;
       } else if (key == "stopped_detail") {
@@ -140,6 +165,8 @@ struct Manifest {
                                  "' in " + path);
       }
     }
+    if (!have_identity) throw malformed("no identity line");
+    if (!have_shards) throw malformed("no shards line");
     return m;
   }
 };
@@ -814,44 +841,12 @@ trace::Trace simulate_trace_durable(const core::WorkloadModel& model,
   run_durable_shards(model, base, n_shards, n_threads, durability, summary_out,
                      shard_stats, &shards);
 
-  trace::Trace merged;
-  {
-    obs::ObsSpan span_merge("trace.merge");
-    merged = trace::merge_traces(std::move(shards));
-  }
-  obs::Registry::global().counter("sim.merged_events").add(merged.size());
-
-  if (base.qtrace.sample_rate > 0.0) {
-    // Same merge + publish as simulate_trace_sharded: resumed shards
-    // contribute the sidecar buffers recovered above, fresh shards the
-    // buffers they just recorded, so an interrupted-and-resumed run's
-    // merged qtrace is identical to an uninterrupted one's.
-    std::vector<std::vector<obs::QueryHopEvent>> per_shard(n_shards);
-    for (unsigned k = 0; k < n_shards; ++k) {
-      per_shard[k] = std::move(shard_stats[k].qtrace);
-    }
-    std::vector<obs::QueryHopEvent> merged_qtrace =
-        obs::merge_qtrace(std::move(per_shard));
-    obs::publish_qtrace_metrics(merged_qtrace);
-    if (qtrace != nullptr) *qtrace = std::move(merged_qtrace);
-  }
-
-  if (base.timeline.tick_seconds > 0.0) {
-    // Same contract for the timeline: sidecar buffers from resumed shards
-    // plus freshly recorded ones merge to the identical tick stream an
-    // uninterrupted run would have produced.
-    std::vector<std::vector<obs::TimelinePoint>> per_shard(n_shards);
-    for (unsigned k = 0; k < n_shards; ++k) {
-      per_shard[k] = std::move(shard_stats[k].timeline);
-    }
-    std::vector<obs::TimelinePoint> merged_timeline =
-        obs::merge_timeline(std::move(per_shard));
-    obs::publish_timeline_metrics(merged_timeline);
-    if (timeline != nullptr) *timeline = std::move(merged_timeline);
-  }
-
-  if (stats != nullptr) *stats = std::move(shard_stats);
-  return merged;
+  // Resumed shards contribute the sidecar buffers recovered from disk,
+  // fresh shards the buffers they just recorded, so a resumed run's
+  // merged qtrace and timeline equal an uninterrupted one's.
+  return detail::merge_shard_outputs(base, std::move(shards),
+                                     std::move(shard_stats), stats, qtrace,
+                                     timeline);
 }
 
 std::vector<std::string> simulate_to_spools(

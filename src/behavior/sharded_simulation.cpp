@@ -106,11 +106,23 @@ trace::Trace simulate_trace_sharded(const core::WorkloadModel& model,
   util::publish_pool_stats("pool.sim", pool.stats());
   obs::Registry::global().counter("sim.shards_run").add(n_shards);
 
+  return detail::merge_shard_outputs(base, std::move(shards),
+                                     std::move(shard_stats), stats, qtrace,
+                                     timeline);
+}
+
+namespace detail {
+
+trace::Trace merge_shard_outputs(const TraceSimulationConfig& base,
+                                 std::vector<trace::Trace> shards,
+                                 std::vector<ShardStats> shard_stats,
+                                 std::vector<ShardStats>* stats,
+                                 std::vector<obs::QueryHopEvent>* qtrace,
+                                 std::vector<obs::TimelinePoint>* timeline) {
+  const std::size_t n_shards = shards.size();
   if (base.qtrace.sample_rate > 0.0) {
-    // Merge + aggregate the per-shard qtrace buffers before the stats
-    // move below consumes them.
     std::vector<std::vector<obs::QueryHopEvent>> per_shard(n_shards);
-    for (unsigned k = 0; k < n_shards; ++k) {
+    for (std::size_t k = 0; k < n_shards; ++k) {
       per_shard[k] = std::move(shard_stats[k].qtrace);
     }
     std::vector<obs::QueryHopEvent> merged_qtrace =
@@ -121,7 +133,7 @@ trace::Trace simulate_trace_sharded(const core::WorkloadModel& model,
 
   if (base.timeline.tick_seconds > 0.0) {
     std::vector<std::vector<obs::TimelinePoint>> per_shard(n_shards);
-    for (unsigned k = 0; k < n_shards; ++k) {
+    for (std::size_t k = 0; k < n_shards; ++k) {
       per_shard[k] = std::move(shard_stats[k].timeline);
     }
     std::vector<obs::TimelinePoint> merged_timeline =
@@ -139,5 +151,7 @@ trace::Trace simulate_trace_sharded(const core::WorkloadModel& model,
   obs::Registry::global().counter("sim.merged_events").add(merged.size());
   return merged;
 }
+
+}  // namespace detail
 
 }  // namespace p2pgen::behavior

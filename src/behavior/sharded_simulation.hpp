@@ -104,4 +104,20 @@ trace::Trace simulate_trace_sharded(
     std::vector<obs::QueryHopEvent>* qtrace = nullptr,
     std::vector<obs::TimelinePoint>* timeline = nullptr);
 
+namespace detail {
+
+/// The tail that simulate_trace_sharded and simulate_trace_durable share
+/// once every shard has finished: merges and publishes the per-shard
+/// qtrace and timeline buffers (when base turns them on), moves
+/// `shard_stats` into `stats`, then merges the traces and counts
+/// sim.merged_events.  `shards` and `shard_stats` are in shard order.
+trace::Trace merge_shard_outputs(const TraceSimulationConfig& base,
+                                 std::vector<trace::Trace> shards,
+                                 std::vector<ShardStats> shard_stats,
+                                 std::vector<ShardStats>* stats,
+                                 std::vector<obs::QueryHopEvent>* qtrace,
+                                 std::vector<obs::TimelinePoint>* timeline);
+
+}  // namespace detail
+
 }  // namespace p2pgen::behavior

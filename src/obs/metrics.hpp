@@ -7,8 +7,7 @@
 //   1. *Strictly observational.*  Metrics never feed back into
 //      simulation or analysis state: a registry records what happened,
 //      it cannot change what happens.  The byte-identity contract of
-//      `simulate_trace_sharded` and the bit-identity contract of the
-//      parallel analysis passes are untouched with instrumentation on,
+//      `simulate_trace_sharded` is untouched with instrumentation on,
 //      off, or absent (tests/test_obs.cpp enforces this at 1/2/8
 //      threads).
 //   2. *Hot paths stay hot.*  Counter cells live in thread-local shards,

@@ -278,16 +278,4 @@ void publish_pool_stats(std::string_view prefix,
       .record_max(static_cast<std::int64_t>(stats.max_queue_depth));
 }
 
-void ThreadPool::for_chunks(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (n == 0 || grain == 0) return;
-  const std::size_t chunks = chunk_count(n, grain);
-  run_indexed(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * grain;
-    const std::size_t end = std::min(n, begin + grain);
-    body(c, begin, end);
-  });
-}
-
 }  // namespace p2pgen::util

@@ -1,16 +1,13 @@
 // p2pgen — deterministic work-stealing thread pool.
 //
-// The parallel execution substrate for sharded simulation and the
-// parallel analysis passes.  Design constraints, in order:
+// The parallel execution substrate for sharded simulation and streaming
+// decode.  Design constraints, in order:
 //
 //   1. *Determinism of results.*  The pool schedules work in any order,
-//      so callers must never fold results in completion order.  The two
-//      entry points make that easy: run_indexed() gives every task a
-//      stable index so outputs go into preallocated slots, and
-//      for_chunks() partitions a range into chunks whose boundaries
-//      depend only on the range and the requested grain — never on the
-//      thread count — so chunk-ordered reductions are byte-identical for
-//      any pool size, including 1.
+//      so callers must never fold results in completion order.
+//      run_indexed() gives every task a stable index so outputs go into
+//      preallocated slots, which keeps results byte-identical for any
+//      pool size, including 1.
 //   2. *Degenerate pool is free.*  ThreadPool(1) spawns no threads at
 //      all: the calling thread executes every task inline, in index
 //      order.  Serial and parallel runs share one code path.
@@ -55,21 +52,6 @@ class ThreadPool {
   /// results into slot i of a preallocated buffer.
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& task);
-
-  /// Partitions [0, n) into chunks of at most `grain` elements and runs
-  /// body(chunk_index, begin, end) for each.  Chunk boundaries are a
-  /// pure function of (n, grain): chunk c covers
-  /// [c * grain, min(n, (c+1) * grain)).  Reductions merged in
-  /// chunk-index order are therefore identical for every thread count.
-  void for_chunks(std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t chunk_index,
-                                           std::size_t begin,
-                                           std::size_t end)>& body);
-
-  /// Number of chunks for_chunks(n, grain, ...) will produce.
-  static std::size_t chunk_count(std::size_t n, std::size_t grain) noexcept {
-    return grain == 0 ? 0 : (n + grain - 1) / grain;
-  }
 
   /// Thread count requested by the environment: P2PGEN_THREADS if set
   /// and positive, otherwise std::thread::hardware_concurrency()

@@ -446,6 +446,55 @@ TEST(CheckpointSalvage, StopReasonRoundTripsAndResumeClearsIt) {
   fs::remove_all(dir);
 }
 
+// A manifest that parses only partly must be refused, never read as a
+// run with fewer shards or fewer finished ones.
+void expect_manifest_refused(const std::string& name, const std::string& body) {
+  const std::string dir = fresh_dir("manifest_" + name);
+  fs::create_directories(dir);
+  {
+    std::ofstream out(dir + "/MANIFEST", std::ios::trunc);
+    out << "p2pgen-checkpoint v1\n" << body;
+  }
+  EXPECT_THROW(behavior::read_checkpoint_status(dir), std::runtime_error)
+      << body;
+  fs::remove_all(dir);
+}
+
+TEST(CheckpointManifest, WellFormedManifestReads) {
+  const std::string dir = fresh_dir("manifest_ok");
+  fs::create_directories(dir);
+  {
+    std::ofstream out(dir + "/MANIFEST", std::ios::trunc);
+    out << "p2pgen-checkpoint v1\nidentity 42\nshards 3\ndone 0\ndone 2\n";
+  }
+  const behavior::CheckpointStatus status =
+      behavior::read_checkpoint_status(dir);
+  EXPECT_EQ(status.n_shards, 3u);
+  EXPECT_EQ(status.shards_done, 2u);
+  EXPECT_FALSE(status.complete);
+  fs::remove_all(dir);
+}
+
+TEST(CheckpointManifest, NonNumericIdentityIsRefused) {
+  expect_manifest_refused("identity_nan", "identity abc\nshards 2\ndone 0\n");
+}
+
+TEST(CheckpointManifest, NonNumericShardsIsRefused) {
+  expect_manifest_refused("shards_nan", "identity 42\nshards two\ndone 0\n");
+}
+
+TEST(CheckpointManifest, MissingIdentityLineIsRefused) {
+  expect_manifest_refused("no_identity", "shards 2\ndone 0\n");
+}
+
+TEST(CheckpointManifest, MissingShardsLineIsRefused) {
+  expect_manifest_refused("no_shards", "identity 42\n");
+}
+
+TEST(CheckpointManifest, DoneIndexOutOfRangeIsRefused) {
+  expect_manifest_refused("done_range", "identity 42\nshards 2\ndone 2\n");
+}
+
 TEST(CheckpointSalvage, CleanCheckpointSalvageResumeIsBitIdenticalToStrict) {
   const auto model = core::WorkloadModel::paper_default();
   const auto config = tiny_fault_config();

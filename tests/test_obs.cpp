@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "analysis/filters.hpp"
-#include "analysis/parallel.hpp"
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
 #include "obs/span.hpp"
@@ -379,45 +378,34 @@ TEST(ObsContract, FaultCountersMatchShardStats) {
   EXPECT_GT(total.messages_lost, 0u);  // the faults actually fired
 }
 
-TEST(ObsContract, FilterCountersMatchReportForAnyThreadCount) {
+TEST(ObsContract, FilterCountersMatchReport) {
   auto& registry = obs::Registry::global();
   registry.set_enabled(true);
-  registry.reset();
   const trace::Trace trace = behavior::simulate_trace_sharded(
       core::WorkloadModel::paper_default(), tiny_fault_config(), 2, 2);
 
-  std::vector<std::map<std::string, std::uint64_t>> counters;
-  analysis::FilterReport first_report;
-  for (const unsigned threads : {1u, 8u}) {
-    analysis::set_analysis_threads(threads);
-    registry.reset();
-    auto dataset =
-        analysis::build_dataset(trace, geo::GeoIpDatabase::synthetic());
-    const auto report = analysis::apply_filters(dataset);
-    if (threads == 1) first_report = report;
-    const auto snapshot = registry.snapshot();
-    EXPECT_EQ(snapshot.counter_value("filter.initial_queries"),
-              report.initial_queries);
-    EXPECT_EQ(snapshot.counter_value("filter.rule1_removed"),
-              report.rule1_removed);
-    EXPECT_EQ(snapshot.counter_value("filter.rule2_removed"),
-              report.rule2_removed);
-    EXPECT_EQ(snapshot.counter_value("filter.rule3_removed_queries"),
-              report.rule3_removed_queries);
-    EXPECT_EQ(snapshot.counter_value("filter.final_queries"),
-              report.final_queries);
-    EXPECT_EQ(snapshot.counter_value("filter.rule4_excluded"),
-              report.rule4_excluded);
-    EXPECT_EQ(snapshot.counter_value("filter.rule5_excluded"),
-              report.rule5_excluded);
-    EXPECT_EQ(snapshot.counter_value("filter.interarrival_queries"),
-              report.interarrival_queries);
-    counters.push_back(deterministic_counters(snapshot));
-  }
-  analysis::set_analysis_threads(1);
-  ASSERT_EQ(counters.size(), 2u);
-  EXPECT_EQ(counters[0], counters[1]);
-  EXPECT_GT(first_report.initial_queries, 0u);
+  registry.reset();
+  auto dataset =
+      analysis::build_dataset(trace, geo::GeoIpDatabase::synthetic());
+  const auto report = analysis::apply_filters(dataset);
+  const auto snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.counter_value("filter.initial_queries"),
+            report.initial_queries);
+  EXPECT_EQ(snapshot.counter_value("filter.rule1_removed"),
+            report.rule1_removed);
+  EXPECT_EQ(snapshot.counter_value("filter.rule2_removed"),
+            report.rule2_removed);
+  EXPECT_EQ(snapshot.counter_value("filter.rule3_removed_queries"),
+            report.rule3_removed_queries);
+  EXPECT_EQ(snapshot.counter_value("filter.final_queries"),
+            report.final_queries);
+  EXPECT_EQ(snapshot.counter_value("filter.rule4_excluded"),
+            report.rule4_excluded);
+  EXPECT_EQ(snapshot.counter_value("filter.rule5_excluded"),
+            report.rule5_excluded);
+  EXPECT_EQ(snapshot.counter_value("filter.interarrival_queries"),
+            report.interarrival_queries);
+  EXPECT_GT(report.initial_queries, 0u);
 }
 
 TEST(ObsContract, RecoveryCountersPinTheDurabilityLayer) {

@@ -1,7 +1,6 @@
 // Tests for util::ThreadPool — the parallel substrate's contract:
-// every index runs exactly once, chunk boundaries are independent of the
-// thread count, the single-thread pool is fully inline, and exceptions
-// propagate deterministically (lowest failing index wins).
+// every index runs exactly once, the single-thread pool is fully inline,
+// and exceptions propagate deterministically (lowest failing index wins).
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -40,30 +39,6 @@ TEST(ThreadPool, SingleThreadPoolRunsInlineInIndexOrder) {
   std::vector<std::size_t> expected(64);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPool, ChunkBoundariesDependOnlyOnInputSize) {
-  // The determinism keystone: for_chunks must cut [0, n) identically for
-  // every pool size, so chunk-ordered reductions are byte-stable.
-  auto boundaries = [](unsigned threads) {
-    util::ThreadPool pool(threads);
-    std::vector<std::pair<std::size_t, std::size_t>> out(
-        util::ThreadPool::chunk_count(1003, 128));
-    pool.for_chunks(1003, 128,
-                    [&](std::size_t c, std::size_t b, std::size_t e) {
-                      out[c] = {b, e};
-                    });
-    return out;
-  };
-  const auto serial = boundaries(1);
-  EXPECT_EQ(serial, boundaries(2));
-  EXPECT_EQ(serial, boundaries(8));
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial.front().first, 0u);
-  EXPECT_EQ(serial.back().second, 1003u);
-  for (std::size_t c = 1; c < serial.size(); ++c) {
-    EXPECT_EQ(serial[c].first, serial[c - 1].second);
-  }
 }
 
 TEST(ThreadPool, LowestFailingIndexWins) {
@@ -181,7 +156,6 @@ TEST(ThreadPoolStats, ImbalancedWorkRecordsSteals) {
 TEST(ThreadPool, ZeroTasksIsANoop) {
   util::ThreadPool pool(4);
   pool.run_indexed(0, [](std::size_t) { FAIL(); });
-  pool.for_chunks(0, 16, [](std::size_t, std::size_t, std::size_t) { FAIL(); });
 }
 
 }  // namespace
