@@ -50,9 +50,6 @@ void SimulatedPeer::on_handshake(sim::ConnId conn,
 }
 
 void SimulatedPeer::begin_session() {
-  for (const auto& keywords : plan_.shared_keywords) {
-    shared_canonical_.insert(gnutella::canonical_keywords(keywords));
-  }
   // Section 3.1: leaves summarize their shared keywords for the ultrapeer
   // so it can forward queries only to leaves likely to respond.
   if (!ultrapeer_ && !plan_.shared_keywords.empty()) send_route_table();
@@ -61,11 +58,10 @@ void SimulatedPeer::begin_session() {
     schedule_ping_chain(ping_interval_ * rng_.uniform(0.8, 1.2));
   }
   if (ultrapeer_) {
-    const auto& bg = planner_.background();
-    schedule_background_chain(kSlotBgQuery, bg.query_rate);
-    schedule_background_chain(kSlotBgPing, bg.ping_rate);
-    schedule_background_chain(kSlotBgPong, bg.pong_rate);
-    schedule_background_chain(kSlotBgHit, bg.queryhit_rate);
+    schedule_background_chain(kSlotBgQuery);
+    schedule_background_chain(kSlotBgPing);
+    schedule_background_chain(kSlotBgPong);
+    schedule_background_chain(kSlotBgHit);
   }
   // The session-duration models describe durations as *measured* — and
   // the measurement node overestimates silent session ends by the idle
@@ -107,10 +103,21 @@ void SimulatedPeer::schedule_ping_chain(double delay) {
   });
 }
 
-void SimulatedPeer::schedule_background_chain(Slot slot, double rate) {
+double SimulatedPeer::background_rate(Slot slot) const {
+  const auto& bg = planner_.background();
+  return slot == kSlotBgQuery  ? bg.query_rate
+         : slot == kSlotBgPing ? bg.ping_rate
+         : slot == kSlotBgPong ? bg.pong_rate
+                               : bg.queryhit_rate;
+}
+
+void SimulatedPeer::schedule_background_chain(Slot slot) {
+  const double rate = background_rate(slot);
   if (!(rate > 0.0)) return;
+  // The closure holds 16 bytes, so std::function stores it inline: a
+  // rate captured too would put every background event on the heap.
   slots_[slot] = network_.simulator().schedule_after(
-      rng_.exponential(rate), [this, slot, rate] {
+      rng_.exponential(rate), [this, slot] {
         if (!alive()) return;
         const double now = network_.simulator().now();
         gnutella::Message m =
@@ -119,7 +126,7 @@ void SimulatedPeer::schedule_background_chain(Slot slot, double rate) {
             : slot == kSlotBgPong ? planner_.remote_pong(now, rng_)
                                   : planner_.remote_queryhit(now, rng_);
         network_.send(conn_, id_, std::move(m));
-        schedule_background_chain(slot, rate);
+        schedule_background_chain(slot);
       });
 }
 
@@ -141,8 +148,15 @@ void SimulatedPeer::end_session() {
   }
 }
 
-bool SimulatedPeer::owns_content(const std::string& keywords) const {
-  if (shared_canonical_.empty() || keywords.empty()) return false;
+bool SimulatedPeer::owns_content(const std::string& keywords) {
+  if (!established_ || keywords.empty()) return false;
+  // Built on the first forwarded query: most peers never receive one.
+  if (!shared_built_) {
+    for (const auto& shared : plan_.shared_keywords) {
+      shared_canonical_.insert(gnutella::canonical_keywords(shared));
+    }
+    shared_built_ = true;
+  }
   return shared_canonical_.count(gnutella::canonical_keywords(keywords)) > 0;
 }
 

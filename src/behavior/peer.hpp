@@ -60,7 +60,8 @@ class SimulatedPeer final : public sim::Node {
   void begin_session();
   void schedule_planned_send(std::size_t index);
   void schedule_ping_chain(double delay);
-  void schedule_background_chain(Slot slot, double rate);
+  void schedule_background_chain(Slot slot);
+  double background_rate(Slot slot) const;
   void end_session();
   bool alive() const noexcept { return established_ && !silent_ && !closed_; }
   void cancel_all();
@@ -68,7 +69,7 @@ class SimulatedPeer final : public sim::Node {
   /// Content model: the peer shares files matching exactly the canonical
   /// keyword sets sampled into plan_.shared_keywords (replication is
   /// popularity-proportional by construction).
-  bool owns_content(const std::string& keywords) const;
+  bool owns_content(const std::string& keywords);
 
   /// Sends the QRP table summarizing shared_keywords (leaf mode only).
   void send_route_table();
@@ -84,7 +85,8 @@ class SimulatedPeer final : public sim::Node {
 
   sim::NodeId id_ = 0;
   std::uint32_t ip_ = 0;
-  std::unordered_set<std::string> shared_canonical_;
+  std::unordered_set<std::string> shared_canonical_;  // see owns_content
+  bool shared_built_ = false;
   sim::ConnId conn_ = 0;
   bool established_ = false;
   bool silent_ = false;

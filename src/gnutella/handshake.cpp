@@ -22,20 +22,43 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
+bool key_less(const HeaderMap::Entry& entry, const std::string& key) {
+  return entry.first < key;
+}
+
 }  // namespace
 
 void HeaderMap::set(std::string key, std::string value) {
-  headers_[to_lower(std::move(key))] = std::move(value);
+  key = to_lower(std::move(key));
+  // Reserve before locating the slot: growing the vector would
+  // invalidate an iterator taken earlier.  Handshakes carry two to four
+  // headers, so the first set() sizes the vector for them.
+  if (headers_.size() == headers_.capacity()) {
+    headers_.reserve(std::max<std::size_t>(4, 2 * headers_.size()));
+  }
+  const auto it =
+      std::lower_bound(headers_.begin(), headers_.end(), key, key_less);
+  if (it != headers_.end() && it->first == key) {
+    it->second = std::move(value);
+  } else {
+    headers_.emplace(it, std::move(key), std::move(value));
+  }
+}
+
+const HeaderMap::Entry* HeaderMap::find(const std::string& lower_key) const {
+  const auto it =
+      std::lower_bound(headers_.begin(), headers_.end(), lower_key, key_less);
+  return it != headers_.end() && it->first == lower_key ? &*it : nullptr;
 }
 
 std::optional<std::string> HeaderMap::get(const std::string& key) const {
-  const auto it = headers_.find(to_lower(key));
-  if (it == headers_.end()) return std::nullopt;
-  return it->second;
+  const Entry* entry = find(to_lower(key));
+  if (entry == nullptr) return std::nullopt;
+  return entry->second;
 }
 
 bool HeaderMap::contains(const std::string& key) const {
-  return headers_.count(to_lower(key)) > 0;
+  return find(to_lower(key)) != nullptr;
 }
 
 std::string Handshake::user_agent() const {

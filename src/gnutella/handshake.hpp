@@ -11,25 +11,31 @@
 // connected session *starts* when the handshake completes (Section 3.2).
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace p2pgen::gnutella {
 
 /// Case-insensitive header map, normalized to lower-case keys on insert.
+/// A handshake carries a handful of headers, so they live in one small
+/// vector kept sorted by key: serialization order is the key order.
 class HeaderMap {
  public:
+  using Entry = std::pair<std::string, std::string>;
+
   void set(std::string key, std::string value);
   std::optional<std::string> get(const std::string& key) const;
   bool contains(const std::string& key) const;
   std::size_t size() const noexcept { return headers_.size(); }
-  const std::map<std::string, std::string>& entries() const noexcept {
-    return headers_;
-  }
+  /// (lower-cased key, value) pairs in ascending key order.
+  const std::vector<Entry>& entries() const noexcept { return headers_; }
 
  private:
-  std::map<std::string, std::string> headers_;
+  const Entry* find(const std::string& lower_key) const;
+
+  std::vector<Entry> headers_;
 };
 
 /// A parsed handshake block (request or response).

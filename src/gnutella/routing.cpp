@@ -1,6 +1,7 @@
 #include "gnutella/routing.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace p2pgen::gnutella {
 
@@ -10,37 +11,82 @@ RoutingTable::RoutingTable(double expiry_seconds) : expiry_(expiry_seconds) {
   }
 }
 
-void RoutingTable::purge(double now) {
-  while (!order_.empty() && order_.front().first + expiry_ <= now) {
-    const auto& [seen_at, guid] = order_.front();
-    const auto it = entries_.find(guid);
-    // Only erase if the stored entry is the one this order slot refers to
-    // (the GUID may have been refreshed by a later note_seen).
-    if (it != entries_.end() && it->second.seen_at == seen_at) {
-      entries_.erase(it);
+std::size_t RoutingTable::find(const Guid& guid) const noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t cell = home(guid);
+  while (index_[cell] != kEmpty && ring_[index_[cell] - 1].guid != guid) {
+    cell = (cell + 1) & mask;
+  }
+  return cell;
+}
+
+void RoutingTable::erase_cell(std::size_t cell) noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t next = cell;
+  for (;;) {
+    next = (next + 1) & mask;
+    if (index_[next] == kEmpty) break;
+    // The entry at `next` may fill the hole unless the hole lies
+    // (cyclically) before its home cell.
+    const std::size_t home_cell = home(ring_[index_[next] - 1].guid);
+    if (((next - home_cell) & mask) >= ((next - cell) & mask)) {
+      index_[cell] = index_[next];
+      cell = next;
     }
-    order_.pop_front();
+  }
+  index_[cell] = kEmpty;
+}
+
+void RoutingTable::purge(double now) {
+  const std::size_t mask = ring_.size() - 1;
+  while (count_ > 0 && ring_[head_].seen_at + expiry_ <= now) {
+    erase_cell(find(ring_[head_].guid));
+    head_ = (head_ + 1) & mask;
+    --count_;
+  }
+}
+
+void RoutingTable::grow() {
+  const std::size_t capacity = ring_.empty() ? 64 : 2 * ring_.size();
+  std::vector<Entry> ring(capacity);
+  for (std::size_t i = 0; i < count_; ++i) {
+    ring[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+  ring_ = std::move(ring);
+  head_ = 0;
+  index_.assign(2 * capacity, kEmpty);
+  for (std::size_t i = 0; i < count_; ++i) {
+    index_[find(ring_[i].guid)] = static_cast<std::uint32_t>(i + 1);
   }
 }
 
 bool RoutingTable::note_seen(const Guid& guid, PeerLink from, double now) {
   purge(now);
-  const auto [it, inserted] = entries_.try_emplace(guid, Entry{from, now});
-  if (!inserted) return false;
-  order_.emplace_back(now, guid);
+  if (ring_.empty()) grow();
+  std::size_t cell = find(guid);
+  if (index_[cell] != kEmpty) return false;
+  if (count_ == ring_.size()) {
+    grow();
+    cell = find(guid);
+  }
+  const std::size_t pos = (head_ + count_) & (ring_.size() - 1);
+  ring_[pos] = Entry{guid, from, now};
+  index_[cell] = static_cast<std::uint32_t>(pos + 1);
+  ++count_;
   return true;
 }
 
 std::optional<PeerLink> RoutingTable::reverse_route(const Guid& guid, double now) {
   purge(now);
-  const auto it = entries_.find(guid);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.from;
+  if (count_ == 0) return std::nullopt;
+  const std::size_t cell = find(guid);
+  if (index_[cell] == kEmpty) return std::nullopt;
+  return ring_[index_[cell] - 1].from;
 }
 
 std::size_t RoutingTable::size(double now) {
   purge(now);
-  return entries_.size();
+  return count_;
 }
 
 }  // namespace p2pgen::gnutella

@@ -5,13 +5,18 @@
 // directly-connected peer it was first received from; QUERYHITs are routed
 // back along that reverse path.  Entries expire after a configurable
 // period (typically 10 minutes).
+//
+// Entries are recorded at non-decreasing times, so they also expire in
+// insertion order: the table is a FIFO ring of {guid, link, seen_at}
+// whose front is popped as it expires, indexed by an open-addressed,
+// linear-probing hash of ring positions.  Neither allocates per message
+// once warm (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "gnutella/guid.hpp"
 
@@ -45,11 +50,12 @@ class RoutingTable {
 
  private:
   struct Entry {
+    Guid guid;
     PeerLink from = 0;
     double seen_at = 0.0;
   };
 
-  // The map's own hasher: GUIDs are random, so mixing their two 64-bit
+  // The index's own hasher: GUIDs are random, so mixing their two 64-bit
   // words is enough, and far cheaper than GuidHash's byte-wise FNV-1a
   // (which stays the trace's guid_hash, being part of the digest).
   struct WordHash {
@@ -66,11 +72,25 @@ class RoutingTable {
     }
   };
 
+  static constexpr std::uint32_t kEmpty = 0;
+
   void purge(double now);
+  // The index cell holding `guid`, or the empty cell that ends its probe.
+  std::size_t find(const Guid& guid) const noexcept;
+  std::size_t home(const Guid& guid) const noexcept {
+    return WordHash{}(guid) & (index_.size() - 1);
+  }
+  // Empties an index cell by backward shift, so no probe chain breaks.
+  void erase_cell(std::size_t cell) noexcept;
+  // Doubles the ring (unwrapping it to start at position 0) and rebuilds
+  // the index at twice the ring's capacity.
+  void grow();
 
   double expiry_;
-  std::unordered_map<Guid, Entry, WordHash> entries_;
-  std::deque<std::pair<double, Guid>> order_;  // insertion order for purge
+  std::vector<Entry> ring_;  // power-of-two capacity, oldest at head_
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+  std::vector<std::uint32_t> index_;  // ring position + 1, or kEmpty
 };
 
 }  // namespace p2pgen::gnutella

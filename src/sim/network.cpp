@@ -363,14 +363,35 @@ void Network::send_handshake(ConnId conn, NodeId sender,
     return;
   }
   const NodeId receiver = from_a ? c.b : c.a;
+  std::uint32_t slot;
+  if (free_handshakes_.empty()) {
+    slot = static_cast<std::uint32_t>(handshakes_.size());
+    handshakes_.push_back(
+        InFlightHandshake{conn, receiver, std::move(handshake)});
+  } else {
+    slot = free_handshakes_.back();
+    free_handshakes_.pop_back();
+    InFlightHandshake& parked = handshakes_[slot];
+    parked.conn = conn;
+    parked.receiver = receiver;
+    parked.handshake = std::move(handshake);
+  }
   sim_.schedule_in_order(sim_.now() + config_.latency_seconds,
-                         [this, conn, receiver, hs = std::move(handshake)] {
-                           if (connections_.find(conn) == connections_.end() ||
-                               crashed_[receiver]) {
-                             return;
-                           }
-                           nodes_[receiver]->on_handshake(conn, hs);
-                         });
+                         [this, slot] { deliver_handshake(slot); });
+}
+
+void Network::deliver_handshake(std::uint32_t slot) {
+  // As in deliver(): on_handshake may send another handshake, which can
+  // grow the slab, so the block leaves it first.
+  InFlightHandshake& parked = handshakes_[slot];
+  const ConnId conn = parked.conn;
+  const NodeId receiver = parked.receiver;
+  const gnutella::Handshake handshake = std::move(parked.handshake);
+  free_handshakes_.push_back(slot);
+  if (connections_.find(conn) == connections_.end() || crashed_[receiver]) {
+    return;
+  }
+  nodes_[receiver]->on_handshake(conn, handshake);
 }
 
 bool Network::is_open(ConnId conn) const {

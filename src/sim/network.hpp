@@ -190,11 +190,20 @@ class Network {
     gnutella::Message message;
   };
 
+  // A handshake block between send_handshake() and its delivery, parked
+  // the same way.
+  struct InFlightHandshake {
+    ConnId conn = 0;
+    NodeId receiver = 0;
+    gnutella::Handshake handshake;
+  };
+
   bool faults_on() const noexcept { return injector_ && injector_->enabled(); }
   void crash_unprotected_endpoint(ConnId conn);
   void schedule_delivery(ConnId conn, NodeId receiver, double at,
                          gnutella::Message message);
   void deliver(std::uint32_t slot);
+  void deliver_handshake(std::uint32_t slot);
   void deliver_wire(ConnId conn, NodeId receiver, double at,
                     std::vector<std::uint8_t> wire);
 
@@ -207,6 +216,8 @@ class Network {
   std::unordered_map<ConnId, Connection> connections_;
   std::vector<InFlight> in_flight_;
   std::vector<std::uint32_t> free_in_flight_;
+  std::vector<InFlightHandshake> handshakes_;
+  std::vector<std::uint32_t> free_handshakes_;
   FaultInjector* injector_ = nullptr;
   obs::QueryTracer* qtracer_ = nullptr;
   obs::TimelineRecorder* timeline_ = nullptr;

@@ -23,6 +23,14 @@ ZipfLike::ZipfLike(std::vector<double> pmf) : pmf_(std::move(pmf)) {
     cdf_[i] = acc;
   }
   cdf_.back() = 1.0;  // guard against rounding drift
+  const std::size_t n = cdf_.size();
+  guide_.resize(n);
+  std::size_t i = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double lo = static_cast<double>(k) / static_cast<double>(n);
+    while (cdf_[i] < lo) ++i;
+    guide_[k] = static_cast<std::uint32_t>(i);
+  }
 }
 
 ZipfLike ZipfLike::single(std::size_t n, double alpha) {
@@ -86,8 +94,15 @@ double ZipfLike::cdf(std::size_t rank) const {
 
 std::size_t ZipfLike::sample(Rng& rng) const {
   const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin()) + 1;
+  // floor(u * n) may round up past u's bucket, so step back first; then
+  // step forward to the first cdf >= u.  Both loops keep the answer
+  // equal to lower_bound(cdf_, u) for every u, rounding included.
+  const std::size_t n = cdf_.size();
+  const auto bucket = static_cast<std::size_t>(u * static_cast<double>(n));
+  std::size_t i = guide_[std::min(bucket, n - 1)];
+  while (i > 0 && cdf_[i - 1] >= u) --i;
+  while (cdf_[i] < u) ++i;
+  return i + 1;
 }
 
 double ZipfLike::fitted_alpha(std::size_t lo, std::size_t hi) const {

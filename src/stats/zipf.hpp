@@ -5,10 +5,13 @@
 // Figure 11).  The intersection class (queries issued from two regions) has
 // a "flattened head" and is fit by TWO Zipf pieces with different exponents
 // (alpha_body for ranks 1..split, alpha_tail beyond).  ZipfLike covers both
-// through a per-rank weight table with O(log n) sampling.
+// through a per-rank weight table, sampled through a guide table: one
+// entry per rank, O(1) expected steps per draw, and exactly the rank a
+// binary search over the CDF would return.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -40,7 +43,8 @@ class ZipfLike {
   /// P[R <= r] (1-based; pmf cumulated).
   double cdf(std::size_t rank) const;
 
-  /// Draws a rank in [1, size()] by binary search over the cumulated pmf.
+  /// Draws a rank in [1, size()]: the first rank r with cdf(r) >= u for
+  /// one u = rng.uniform().
   std::size_t sample(Rng& rng) const;
 
   /// Least-squares slope of log(pmf) vs log(rank) over ranks [lo, hi] —
@@ -54,6 +58,9 @@ class ZipfLike {
 
   std::vector<double> pmf_;   // normalized, index 0 == rank 1
   std::vector<double> cdf_;   // inclusive cumulative sums
+  // guide_[k]: first index i with cdf_[i] >= k / size(), where sample()
+  // starts its search for a u in [k / size(), (k + 1) / size()).
+  std::vector<std::uint32_t> guide_;
   std::string label_;
 };
 

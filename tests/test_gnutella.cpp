@@ -3,6 +3,9 @@
 // canonicalization.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "gnutella/codec.hpp"
@@ -253,6 +256,159 @@ TEST(RoutingTable, RejectsNonPositiveExpiry) {
   EXPECT_THROW(RoutingTable(0.0), std::invalid_argument);
 }
 
+// RoutingTable's contract restated over a plain ordered map: an entry is
+// live while seen_at + expiry > now, and only a GUID with no live entry
+// is a first sighting.
+class RoutingOracle {
+ public:
+  explicit RoutingOracle(double expiry) : table_(expiry), expiry_(expiry) {}
+
+  // Each call runs the operation on the table and on the model and
+  // fails the test unless both answer the same.
+  void note_seen(const Guid& guid, PeerLink from, double now) {
+    purge(now);
+    const bool expected = model_.try_emplace(guid, from, now).second;
+    ASSERT_EQ(table_.note_seen(guid, from, now), expected) << "t=" << now;
+  }
+  void reverse_route(const Guid& guid, double now) {
+    purge(now);
+    const auto it = model_.find(guid);
+    const auto expected = it == model_.end()
+                              ? std::nullopt
+                              : std::optional<PeerLink>(it->second.first);
+    ASSERT_EQ(table_.reverse_route(guid, now), expected) << "t=" << now;
+  }
+  void size(double now) {
+    purge(now);
+    ASSERT_EQ(table_.size(now), model_.size()) << "t=" << now;
+  }
+  // Every GUID the model holds routes to its link.
+  void all_routable(double now) {
+    purge(now);
+    for (const auto& [guid, entry] : model_) {
+      ASSERT_EQ(table_.reverse_route(guid, now),
+                std::optional<PeerLink>(entry.first))
+          << "t=" << now;
+    }
+  }
+
+ private:
+  void purge(double now) {
+    std::erase_if(model_, [&](const auto& kv) {
+      return kv.second.second + expiry_ <= now;
+    });
+  }
+
+  RoutingTable table_;
+  double expiry_;
+  std::map<Guid, std::pair<PeerLink, double>> model_;
+};
+
+TEST(RoutingTableOracle, RandomOperationsMatchAMapModel) {
+  // Integer times against an integer expiry land exactly on the
+  // seen_at + expiry == now boundary again and again; a small GUID pool
+  // re-inserts GUIDs after they expire; the arrival rate swings so the
+  // live count rises through several ring doublings (the ring has
+  // wrapped by then) and falls back, deleting along long probe chains.
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    auto rng = test_rng(seed);
+    std::vector<Guid> pool(600);
+    for (auto& g : pool) g = Guid::generate(rng);
+    RoutingOracle oracle(40.0);
+    double now = 0.0;
+    for (int op = 0; op < 30000; ++op) {
+      // Phases of 5000 operations alternate slow and fast clocks.
+      const bool fast_clock = (op / 5000) % 2 == 1;
+      if (rng.uniform() < (fast_clock ? 0.5 : 0.05)) {
+        now += static_cast<double>(1 + rng.uniform_index(2));
+      }
+      const Guid& guid = pool[rng.uniform_index(pool.size())];
+      const double pick = rng.uniform();
+      if (pick < 0.55) {
+        oracle.note_seen(guid, rng.uniform_index(16), now);
+      } else if (pick < 0.95) {
+        oracle.reverse_route(guid, now);
+      } else {
+        oracle.size(now);
+      }
+      if (HasFatalFailure()) return;
+    }
+    oracle.all_routable(now);
+  }
+}
+
+TEST(RoutingTableOracle, GrowsWhileTheRingIsWrapped) {
+  auto rng = test_rng(21);
+  RoutingOracle oracle(100.0);
+  // Fill part of the ring and let it expire, so the next entries wrap
+  // past the ring's end before the table has to grow.
+  for (int i = 0; i < 50; ++i) {
+    oracle.note_seen(Guid::generate(rng), 1, static_cast<double>(i));
+  }
+  oracle.size(140.0);  // t = 0..40 expired; 9 live
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_NO_FATAL_FAILURE(
+        oracle.note_seen(Guid::generate(rng), static_cast<PeerLink>(i), 140.0));
+  }
+  ASSERT_NO_FATAL_FAILURE(oracle.all_routable(140.0));
+  ASSERT_NO_FATAL_FAILURE(oracle.size(149.0));
+  ASSERT_NO_FATAL_FAILURE(oracle.all_routable(239.5));
+  oracle.size(240.0);
+}
+
+// Mirrors RoutingTable's private index hash, only to pick GUIDs that
+// collide; if the two ever differ, the test still checks every answer,
+// it just stops forcing this layout.
+std::size_t index_home(const Guid& g, std::size_t cells) {
+  std::uint64_t lo;
+  std::uint64_t hi;
+  std::memcpy(&lo, g.bytes.data(), sizeof lo);
+  std::memcpy(&hi, g.bytes.data() + sizeof lo, sizeof hi);
+  std::uint64_t h = lo ^ (hi * 0x9e3779b97f4a7c15ULL);
+  h ^= h >> 32;
+  h *= 0xd6e8feb86659fd93ULL;
+  h ^= h >> 32;
+  return static_cast<std::size_t>(h) & (cells - 1);
+}
+
+TEST(RoutingTableOracle, DeletionChainsCrossTheIndexEnd) {
+  // A fresh table indexes its 64-entry ring with 128 cells.  GUIDs homed
+  // on the last two cells probe on into cells 0, 1, ...; expiring them
+  // one by one from the front shifts the rest of the chain back across
+  // the end of the index.
+  auto rng = test_rng(22);
+  std::vector<Guid> colliders;
+  while (colliders.size() < 12) {
+    const Guid g = Guid::generate(rng);
+    if (index_home(g, 128) >= 126) colliders.push_back(g);
+  }
+  std::vector<Guid> low;  // homed on cells 0..3, inside the wrapped chain
+  while (low.size() < 4) {
+    const Guid g = Guid::generate(rng);
+    if (index_home(g, 128) < 4) low.push_back(g);
+  }
+  RoutingOracle oracle(20.0);
+  for (std::size_t i = 0; i < colliders.size(); ++i) {
+    oracle.note_seen(colliders[i], i, static_cast<double>(i));
+    if (i < low.size()) {
+      oracle.note_seen(low[i], 100 + i, static_cast<double>(i));
+    }
+  }
+  for (double now = 20.0; now <= 40.0; now += 1.0) {
+    ASSERT_NO_FATAL_FAILURE(oracle.all_routable(now));
+    for (std::size_t i = 0; i < colliders.size(); ++i) {
+      ASSERT_NO_FATAL_FAILURE(oracle.reverse_route(colliders[i], now));
+    }
+    ASSERT_NO_FATAL_FAILURE(oracle.size(now));
+  }
+  // Re-inserting the expired GUIDs is a fresh first sighting each.
+  for (std::size_t i = 0; i < colliders.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(oracle.note_seen(colliders[i], 50 + i, 41.0));
+  }
+  ASSERT_NO_FATAL_FAILURE(oracle.all_routable(41.0));
+}
+
 // -------------------------------------------------------------- handshake
 
 TEST(Handshake, RoundTripConnectRequest) {
@@ -280,6 +436,47 @@ TEST(Handshake, HeaderKeysAreCaseInsensitive) {
   EXPECT_EQ(headers.get("user-agent"), std::optional<std::string>("X"));
   EXPECT_EQ(headers.get("USER-AGENT"), std::optional<std::string>("X"));
   EXPECT_TRUE(headers.contains("uSeR-aGeNt"));
+  // A key set again in any case overwrites the value in place.
+  headers.set("X-Ultrapeer", "True");
+  headers.set("user-AGENT", "Y");
+  headers.set("x-ultrapeer", "False");
+  EXPECT_EQ(headers.size(), 2u);
+  EXPECT_EQ(headers.get("User-Agent"), std::optional<std::string>("Y"));
+  EXPECT_EQ(headers.get("X-ULTRAPEER"), std::optional<std::string>("False"));
+  EXPECT_FALSE(headers.get("x-query-routing").has_value());
+  EXPECT_FALSE(headers.contains("user"));
+  ASSERT_EQ(headers.entries().size(), 2u);
+  EXPECT_EQ(headers.entries()[0].first, "user-agent");
+  EXPECT_EQ(headers.entries()[1].first, "x-ultrapeer");
+}
+
+TEST(Handshake, WireTextIsPinned) {
+  // Keys serialize lower-cased in ascending order.
+  EXPECT_EQ(Handshake::connect_request("LimeWire/3.8.10", true).to_text(),
+            "GNUTELLA CONNECT/0.6\r\n"
+            "user-agent: LimeWire/3.8.10\r\n"
+            "x-query-routing: 0.1\r\n"
+            "x-ultrapeer: True\r\n"
+            "\r\n");
+  EXPECT_EQ(Handshake::ok_response("mutella-0.4.5", false).to_text(),
+            "GNUTELLA/0.6 200 OK\r\n"
+            "user-agent: mutella-0.4.5\r\n"
+            "x-ultrapeer: False\r\n"
+            "\r\n");
+  Handshake refusal = Handshake::ok_response("node", true);
+  refusal.status_code = 503;
+  refusal.status_phrase = "Busy";
+  refusal.headers.set("Zeta", "z");
+  refusal.headers.set("Accept-Encoding", "deflate");
+  refusal.headers.set("X-Try-Ultrapeers", "1.2.3.4:6346");
+  EXPECT_EQ(refusal.to_text(),
+            "GNUTELLA/0.6 503 Busy\r\n"
+            "accept-encoding: deflate\r\n"
+            "user-agent: node\r\n"
+            "x-try-ultrapeers: 1.2.3.4:6346\r\n"
+            "x-ultrapeer: True\r\n"
+            "zeta: z\r\n"
+            "\r\n");
 }
 
 TEST(Handshake, ParseRejectsGarbage) {

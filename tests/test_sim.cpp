@@ -376,6 +376,48 @@ TEST(Network, ReceiversMaySendWhileTheirDeliveryRuns) {
   EXPECT_EQ(net.messages_delivered(), 36u);
 }
 
+TEST(Network, HandshakeReceiversMaySendWhileTheirDeliveryRuns) {
+  // Each CONNECT the responder receives is answered with several
+  // handshakes, so the handshake slab grows while a delivery is running;
+  // every block must still arrive intact and in send order.
+  struct Responder : RecorderNode {
+    Network* net = nullptr;
+    NodeId self = 0;
+    void on_handshake(ConnId conn, const gnutella::Handshake& hs) override {
+      RecorderNode::on_handshake(conn, hs);
+      for (int i = 0; i < 8; ++i) {
+        net->send_handshake(conn, self,
+                            gnutella::Handshake::ok_response(
+                                hs.user_agent() + " reply " + std::to_string(i),
+                                true));
+      }
+    }
+  };
+  Simulator sim;
+  Network net(sim);
+  RecorderNode a;
+  Responder b;
+  const NodeId ida = net.add_node(a);
+  b.net = &net;
+  b.self = net.add_node(b);
+  const ConnId conn = net.connect(ida, b.self);
+  sim.run();
+  for (int i = 0; i < 4; ++i) {
+    const std::string agent = "a client with a long user agent " +
+                              std::to_string(i);
+    net.send_handshake(conn, ida,
+                       gnutella::Handshake::connect_request(agent, false));
+  }
+  sim.run();
+  ASSERT_EQ(b.handshakes.size(), 4u);
+  ASSERT_EQ(a.handshakes.size(), 32u);
+  for (std::size_t i = 0; i < a.handshakes.size(); ++i) {
+    EXPECT_EQ(a.handshakes[i].second, "a client with a long user agent " +
+                                          std::to_string(i / 8) + " reply " +
+                                          std::to_string(i % 8));
+  }
+}
+
 TEST_F(NetworkFixture, AddressRegistry) {
   net.set_address(ida, 0x01020304);
   EXPECT_EQ(net.address_of(ida), 0x01020304u);

@@ -173,6 +173,53 @@ TEST(ZipfLike, TwoPieceFitRecoversBothSlopes) {
   EXPECT_NEAR(fit_zipf_alpha(pmf, 46, 100), 4.67, 0.02);
 }
 
+// sample() must return exactly the first rank whose CDF reaches the
+// uniform it draws; the reference replays that uniform from a copy of
+// the generator and binary-searches the public cdf().
+void expect_exact_draws(const ZipfLike& z, std::uint64_t seed, int draws) {
+  Rng rng(seed);
+  for (int i = 0; i < draws; ++i) {
+    Rng replay = rng;
+    const double u = replay.uniform();
+    std::size_t lo = 1;
+    std::size_t hi = z.size();
+    while (lo < hi) {  // first rank r in [1, size] with cdf(r) >= u
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (z.cdf(mid) < u) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    ASSERT_EQ(z.sample(rng), lo) << z.name() << " draw " << i << " u=" << u;
+  }
+}
+
+TEST(ZipfLike, SampleIsTheFirstRankReachingTheUniform) {
+  expect_exact_draws(ZipfLike::single(1, 0.0), 1, 1000);
+  expect_exact_draws(ZipfLike::single(10, 1.0), 2, 100000);
+  expect_exact_draws(ZipfLike::single(100000, 0.9), 3, 200000);
+  expect_exact_draws(ZipfLike::two_piece(1000, 45, 0.453, 4.67), 4, 200000);
+  expect_exact_draws(ZipfLike::two_piece(2, 1, 0.0, 30.0), 5, 100000);
+}
+
+TEST(ZipfLike, SampleIsExactAcrossCdfPlateaus) {
+  // Near-zero weights add nothing the CDF can represent, so runs of ranks
+  // share one CDF value; the guide table must still land on the first.
+  std::vector<double> weights;
+  Rng shape(6);
+  for (int i = 0; i < 2000; ++i) {
+    const double pick = shape.uniform();
+    weights.push_back(pick < 0.6   ? 1e-300
+                      : pick < 0.7 ? 1e-17
+                                   : shape.uniform());
+  }
+  expect_exact_draws(ZipfLike::from_weights(weights), 7, 200000);
+  expect_exact_draws(ZipfLike::from_weights({1e-300, 1e-300, 1.0, 1e-300}), 8,
+                     100000);
+  expect_exact_draws(ZipfLike::from_weights({1.0}), 9, 1000);
+}
+
 TEST(ZipfLike, InvalidArguments) {
   EXPECT_THROW(ZipfLike::single(0, 1.0), std::invalid_argument);
   EXPECT_THROW(ZipfLike::single(10, -0.1), std::invalid_argument);
