@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
+#include "util/fnv1a.hpp"
 
 namespace p2pgen::behavior {
 
@@ -12,20 +13,8 @@ namespace {
 
 // FNV-1a over raw bytes; the digest is order-sensitive so every field —
 // including newly added ones — perturbs it.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv_bytes(h, &v, sizeof(v));
+  return util::fnv1a_update(h, &v, sizeof(v));
 }
 
 std::uint64_t fnv_f64(std::uint64_t h, double v) {
@@ -34,13 +23,13 @@ std::uint64_t fnv_f64(std::uint64_t h, double v) {
 
 std::uint64_t fnv_str(std::uint64_t h, const std::string& s) {
   h = fnv_u64(h, s.size());
-  return fnv_bytes(h, s.data(), s.size());
+  return util::fnv1a_update(h, s.data(), s.size());
 }
 
 }  // namespace
 
 std::uint64_t simulation_config_digest(const TraceSimulationConfig& config) {
-  std::uint64_t d = kFnvOffset;
+  std::uint64_t d = util::kFnvOffsetBasis;
   d = fnv_f64(d, config.duration_days);
   d = fnv_f64(d, config.warmup_days);
   d = fnv_f64(d, config.arrival_rate);

@@ -8,35 +8,23 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "obs/crc32.hpp"
 #include "obs/metrics.hpp"
+#include "util/crc32.hpp"
+#include "util/fnv1a.hpp"
 
 namespace p2pgen::obs {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a_bytes(std::uint64_t hash, const void* data,
-                          std::size_t size) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 /// The sampling mix: FNV-1a over the key's little-endian bytes.  GUID
 /// hashes are already well distributed, but mixing again keeps the
 /// decision independent of how GuidHash folds bits (and of any future
 /// change to the key's provenance).
 std::uint64_t sample_mix(std::uint64_t query) noexcept {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = util::kFnvOffsetBasis;
   for (int i = 0; i < 8; ++i) {
     hash ^= (query >> (8 * i)) & 0xffU;
-    hash *= kFnvPrime;
+    hash *= util::kFnvPrime;
   }
   return hash;
 }
@@ -256,11 +244,11 @@ std::vector<QueryHopEvent> merge_qtrace(
 
 std::uint64_t qtrace_digest(
     const std::vector<QueryHopEvent>& events) noexcept {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = util::kFnvOffsetBasis;
   unsigned char record[kQtraceRecordBytes];
   for (const QueryHopEvent& event : events) {
     encode_record(record, event);
-    hash = fnv1a_bytes(hash, record, sizeof(record));
+    hash = util::fnv1a_update(hash, record, sizeof(record));
   }
   return hash;
 }
@@ -364,17 +352,17 @@ void save_qtrace(const std::string& path,
       throw std::runtime_error("qtrace: short write to " + tmp);
     }
     unsigned char record[kQtraceRecordBytes];
-    std::uint32_t crc = crc32_init();
+    std::uint32_t crc = util::crc32_init();
     for (const QueryHopEvent& event : events) {
       encode_record(record, event);
-      crc = crc32_update(crc, record, sizeof(record));
+      crc = util::crc32_update(crc, record, sizeof(record));
       if (std::fwrite(record, 1, sizeof(record), file.get()) !=
           sizeof(record)) {
         throw std::runtime_error("qtrace: short write to " + tmp);
       }
     }
     unsigned char trailer[4];
-    put_u32(trailer, crc32_final(crc));
+    put_u32(trailer, util::crc32_final(crc));
     if (std::fwrite(trailer, 1, sizeof(trailer), file.get()) !=
         sizeof(trailer)) {
       throw std::runtime_error("qtrace: short write to " + tmp);
@@ -408,13 +396,13 @@ bool load_qtrace(const std::string& path, std::vector<QueryHopEvent>& out) {
   const std::uint64_t count = get_u64(header + 8);
   out.reserve(static_cast<std::size_t>(count));
   unsigned char record[kQtraceRecordBytes];
-  std::uint32_t crc = crc32_init();
+  std::uint32_t crc = util::crc32_init();
   for (std::uint64_t i = 0; i < count; ++i) {
     if (std::fread(record, 1, sizeof(record), file.get()) !=
         sizeof(record)) {
       throw std::runtime_error("qtrace: truncated record in " + path);
     }
-    crc = crc32_update(crc, record, sizeof(record));
+    crc = util::crc32_update(crc, record, sizeof(record));
     out.push_back(decode_record(record));
   }
   unsigned char trailer[4];
@@ -422,7 +410,7 @@ bool load_qtrace(const std::string& path, std::vector<QueryHopEvent>& out) {
       sizeof(trailer)) {
     throw std::runtime_error("qtrace: truncated checksum in " + path);
   }
-  if (get_u32(trailer) != crc32_final(crc)) {
+  if (get_u32(trailer) != util::crc32_final(crc)) {
     throw std::runtime_error("qtrace: checksum mismatch in " + path);
   }
   if (std::fread(record, 1, 1, file.get()) == 1) {

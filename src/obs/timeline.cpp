@@ -6,25 +6,13 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "obs/crc32.hpp"
 #include "obs/metrics.hpp"
+#include "util/crc32.hpp"
+#include "util/fnv1a.hpp"
 
 namespace p2pgen::obs {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a_bytes(std::uint64_t hash, const void* data,
-                          std::size_t size) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 std::uint64_t double_bits(double value) noexcept {
   std::uint64_t bits = 0;
@@ -228,11 +216,11 @@ std::vector<TimelinePoint> merge_timeline(
 
 std::uint64_t timeline_digest(
     const std::vector<TimelinePoint>& points) noexcept {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = util::kFnvOffsetBasis;
   unsigned char record[kTimelineRecordBytes];
   for (const TimelinePoint& point : points) {
     encode_record(record, point);
-    hash = fnv1a_bytes(hash, record, sizeof(record));
+    hash = util::fnv1a_update(hash, record, sizeof(record));
   }
   return hash;
 }
@@ -287,17 +275,17 @@ void save_timeline(const std::string& path,
       throw std::runtime_error("timeline: short write to " + tmp);
     }
     unsigned char record[kTimelineRecordBytes];
-    std::uint32_t crc = crc32_init();
+    std::uint32_t crc = util::crc32_init();
     for (const TimelinePoint& point : points) {
       encode_record(record, point);
-      crc = crc32_update(crc, record, sizeof(record));
+      crc = util::crc32_update(crc, record, sizeof(record));
       if (std::fwrite(record, 1, sizeof(record), file.get()) !=
           sizeof(record)) {
         throw std::runtime_error("timeline: short write to " + tmp);
       }
     }
     unsigned char trailer[4];
-    put_u32(trailer, crc32_final(crc));
+    put_u32(trailer, util::crc32_final(crc));
     if (std::fwrite(trailer, 1, sizeof(trailer), file.get()) !=
         sizeof(trailer)) {
       throw std::runtime_error("timeline: short write to " + tmp);
@@ -338,13 +326,13 @@ bool load_timeline(const std::string& path, std::vector<TimelinePoint>& out,
   const std::uint64_t count = get_u64(header + 24);
   out.reserve(static_cast<std::size_t>(count));
   unsigned char record[kTimelineRecordBytes];
-  std::uint32_t crc = crc32_init();
+  std::uint32_t crc = util::crc32_init();
   for (std::uint64_t i = 0; i < count; ++i) {
     if (std::fread(record, 1, sizeof(record), file.get()) !=
         sizeof(record)) {
       throw std::runtime_error("timeline: truncated record in " + path);
     }
-    crc = crc32_update(crc, record, sizeof(record));
+    crc = util::crc32_update(crc, record, sizeof(record));
     out.push_back(decode_record(record));
   }
   unsigned char trailer[4];
@@ -352,7 +340,7 @@ bool load_timeline(const std::string& path, std::vector<TimelinePoint>& out,
       sizeof(trailer)) {
     throw std::runtime_error("timeline: truncated checksum in " + path);
   }
-  if (get_u32(trailer) != crc32_final(crc)) {
+  if (get_u32(trailer) != util::crc32_final(crc)) {
     throw std::runtime_error("timeline: checksum mismatch in " + path);
   }
   if (std::fread(record, 1, 1, file.get()) == 1) {

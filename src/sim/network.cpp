@@ -133,10 +133,10 @@ ConnId Network::connect(NodeId a, NodeId b) {
   sim_.schedule_in_order(sim_.now() + config_.latency_seconds, [this, id] {
     const auto it = connections_.find(id);
     if (it == connections_.end() || !it->second.open) return;
-    const NodeId a = it->second.a;
-    const NodeId b = it->second.b;
-    if (!crashed_[a]) nodes_[a]->on_connection_open(id, b);
-    if (!crashed_[b]) nodes_[b]->on_connection_open(id, a);
+    const NodeId end_a = it->second.a;
+    const NodeId end_b = it->second.b;
+    if (!crashed_[end_a]) nodes_[end_a]->on_connection_open(id, end_b);
+    if (!crashed_[end_b]) nodes_[end_b]->on_connection_open(id, end_a);
   });
   if (faults_on()) {
     const LinkFaultPlan plan = injector_->plan_link(sim_.now());

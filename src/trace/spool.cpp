@@ -1,19 +1,18 @@
 #include "trace/spool.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <filesystem>
-#include <fstream>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 
 #include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
+#include "util/crc32.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -25,20 +24,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
+// The encoder refuses any string the decoder would refuse, so the largest
+// record it can produce must still be a frame the reader accepts.
+static_assert(kMaxRecordBytes <= kSpoolMaxPayload);
 
 void fsync_directory(const std::string& dir) {
 #if defined(__unix__) || defined(__APPLE__)
@@ -106,13 +94,7 @@ SpoolScan scan_spool_impl(const std::string& dir, bool truncate_tail,
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n) noexcept {
-  const auto& table = crc_table();
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return util::crc32(data, n);
 }
 
 SpoolScan scan_spool(const std::string& dir, bool truncate_tail) {
@@ -340,14 +322,19 @@ void SpoolWriter::roll_if_needed() {
 
 void SpoolWriter::append(const TraceEvent& event) {
   if (closed_) throw std::logic_error("SpoolWriter: already closed");
-  frame_buf_.clear();
+  // One buffer per frame: reserve the [len][crc] header, encode the
+  // payload behind it, then patch the header in.  A record the encoder
+  // refuses throws here, before any byte reaches the segment.
+  constexpr std::size_t kFrameHeader = 2 * sizeof(std::uint32_t);
+  frame_buf_.assign(kFrameHeader, '\0');
   append_event_binary(event, frame_buf_);
-  const auto len = static_cast<std::uint32_t>(frame_buf_.size());
-  const std::uint32_t crc = crc32(frame_buf_.data(), frame_buf_.size());
+  const std::size_t payload = frame_buf_.size() - kFrameHeader;
+  const auto len = static_cast<std::uint32_t>(payload);
+  const std::uint32_t crc = crc32(frame_buf_.data() + kFrameHeader, payload);
+  std::memcpy(frame_buf_.data(), &len, sizeof(len));
+  std::memcpy(frame_buf_.data() + sizeof(len), &crc, sizeof(crc));
   std::FILE* f = impl_->file;
   errno = 0;
-  std::fwrite(&len, 1, sizeof(len), f);
-  std::fwrite(&crc, 1, sizeof(crc), f);
   std::fwrite(frame_buf_.data(), 1, frame_buf_.size(), f);
   if (std::ferror(f) != 0) {
     throw SpoolWriteError("spool: write failed: " + impl_->path, errno);

@@ -34,21 +34,7 @@ namespace p2pgen::trace {
 
 struct SegmentReadResult;  // spool_reader.hpp
 
-/// FNV-1a 64-bit, the digest the whole repo uses for byte-identity.
-inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-inline std::uint64_t fnv1a_update(std::uint64_t hash, const void* data,
-                                  std::size_t n) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-/// CRC32 (IEEE 802.3, the zlib polynomial) of a buffer.
+/// CRC32 (IEEE 802.3, the zlib polynomial) of a buffer: util::crc32.
 std::uint32_t crc32(const void* data, std::size_t n) noexcept;
 
 struct SpoolConfig {

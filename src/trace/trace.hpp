@@ -47,6 +47,8 @@ struct SessionStart {
   std::uint32_t ip = 0;  // the peer's address (host order)
   bool ultrapeer = false;
   std::string user_agent;
+
+  friend bool operator==(const SessionStart&, const SessionStart&) = default;
 };
 
 /// One received Gnutella descriptor, reduced to the fields the analysis
@@ -66,6 +68,8 @@ struct MessageEvent {
   /// with the QUERYHITs they attracted (the paper's future-work hit-rate
   /// characterization).  0 when unknown (format v1 traces).
   std::uint64_t guid_hash = 0;
+
+  friend bool operator==(const MessageEvent&, const MessageEvent&) = default;
 };
 
 /// Session ended.
@@ -73,6 +77,8 @@ struct SessionEnd {
   double time = 0.0;
   std::uint64_t session_id = 0;
   EndReason reason = EndReason::kTeardown;
+
+  friend bool operator==(const SessionEnd&, const SessionEnd&) = default;
 };
 
 using TraceEvent = std::variant<SessionStart, MessageEvent, SessionEnd>;

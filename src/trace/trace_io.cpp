@@ -2,10 +2,11 @@
 
 #include <cstring>
 #include <fstream>
+#include <istream>
 #include <memory>
 #include <ostream>
 #include <stdexcept>
-#include <streambuf>
+#include <type_traits>
 
 namespace p2pgen::trace {
 namespace {
@@ -19,19 +20,51 @@ enum class RecordKind : std::uint8_t {
   kSessionEnd = 3,
 };
 
-void put_bytes(std::ostream& out, const void* data, std::size_t n) {
-  out.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
-}
+/// Bytes of each record kind besides its string's characters, field by
+/// field in format order.
+// kind, time, session_id, ip, ultrapeer, user-agent length
+constexpr std::size_t kStartFixedBytes = 1 + 8 + 8 + 4 + 1 + 4;
+// kind, time, session_id, type, ttl, hops, guid_hash, query length, sha1,
+// source_ip, shared_files
+constexpr std::size_t kMessageFixedBytes =
+    1 + 8 + 8 + 1 + 1 + 1 + 8 + 4 + 1 + 4 + 4;
+// kind, time, session_id, reason
+constexpr std::size_t kEndFixedBytes = 1 + 8 + 8 + 1;
+static_assert(kMessageFixedBytes + kMaxStringBytes == kMaxRecordBytes);
+static_assert(kStartFixedBytes <= kMessageFixedBytes);
 
-template <typename T>
-void put_pod(std::ostream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  put_bytes(out, &value, sizeof(value));
-}
+/// Write cursor over bytes already sized in the output buffer.
+class RecordWriter {
+ public:
+  explicit RecordWriter(char* at) : at_(at) {}
 
-void put_string(std::ostream& out, const std::string& s) {
-  put_pod(out, static_cast<std::uint32_t>(s.size()));
-  put_bytes(out, s.data(), s.size());
+  template <typename T>
+  void pod(T value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    std::memcpy(at_, &value, sizeof(value));
+    at_ += sizeof(value);
+  }
+
+  void string(const std::string& s) {
+    pod(static_cast<std::uint32_t>(s.size()));
+    std::memcpy(at_, s.data(), s.size());
+    at_ += s.size();
+  }
+
+ private:
+  char* at_;
+};
+
+/// Refuses a string the decoder's source_get_string would refuse.
+void check_string(const std::string& s, const char* field,
+                  std::uint64_t record_offset) {
+  if (s.size() > kMaxStringBytes) {
+    throw TraceIoError("trace: " + std::string(field) + " of " +
+                           std::to_string(s.size()) +
+                           " bytes exceeds the record limit of " +
+                           std::to_string(kMaxStringBytes),
+                       record_offset);
+  }
 }
 
 /// Shared helpers for the read cursors below (stream- and memory-backed).
@@ -41,7 +74,7 @@ template <typename Source>
 std::string source_get_string(Source& in) {
   const auto at = in.offset();
   const auto size = in.template get_pod<std::uint32_t>();
-  if (size > 1u << 20) {
+  if (size > kMaxStringBytes) {
     throw TraceIoError("trace: oversized string (" + std::to_string(size) +
                            " bytes) at byte offset " + std::to_string(at),
                        at);
@@ -149,35 +182,6 @@ class MemSource {
   std::uint64_t offset_ = 0;
 };
 
-void write_event(std::ostream& out, const TraceEvent& event) {
-  if (const auto* start = std::get_if<SessionStart>(&event)) {
-    put_pod(out, RecordKind::kSessionStart);
-    put_pod(out, start->time);
-    put_pod(out, start->session_id);
-    put_pod(out, start->ip);
-    put_pod(out, static_cast<std::uint8_t>(start->ultrapeer));
-    put_string(out, start->user_agent);
-  } else if (const auto* msg = std::get_if<MessageEvent>(&event)) {
-    put_pod(out, RecordKind::kMessage);
-    put_pod(out, msg->time);
-    put_pod(out, msg->session_id);
-    put_pod(out, static_cast<std::uint8_t>(msg->type));
-    put_pod(out, msg->ttl);
-    put_pod(out, msg->hops);
-    put_pod(out, msg->guid_hash);
-    put_string(out, msg->query);
-    put_pod(out, static_cast<std::uint8_t>(msg->sha1));
-    put_pod(out, msg->source_ip);
-    put_pod(out, msg->shared_files);
-  } else {
-    const auto& end = std::get<SessionEnd>(event);
-    put_pod(out, RecordKind::kSessionEnd);
-    put_pod(out, end.time);
-    put_pod(out, end.session_id);
-    put_pod(out, static_cast<std::uint8_t>(end.reason));
-  }
-}
-
 template <typename Source>
 TraceEvent read_event(Source& in, RecordKind kind, std::uint32_t version,
                       std::uint64_t record_offset) {
@@ -219,11 +223,6 @@ TraceEvent read_event(Source& in, RecordKind kind, std::uint32_t version,
                      record_offset);
 }
 
-void write_header(std::ostream& out) {
-  put_bytes(out, kMagic, sizeof(kMagic));
-  put_pod(out, kVersion);
-}
-
 std::uint32_t read_header(ByteSource& in) {
   char magic[4];
   in.get_bytes(magic, sizeof(magic));
@@ -242,8 +241,14 @@ std::uint32_t read_header(ByteSource& in) {
 }  // namespace
 
 void write_binary(const Trace& trace, std::ostream& out) {
-  write_header(out);
-  for (const auto& event : trace.events()) write_event(out, event);
+  std::string record;
+  append_header_binary(record);
+  out.write(record.data(), static_cast<std::streamsize>(record.size()));
+  for (const auto& event : trace.events()) {
+    record.clear();
+    append_event_binary(event, record);
+    out.write(record.data(), static_cast<std::streamsize>(record.size()));
+  }
   if (!out) throw std::runtime_error("trace: write failure");
 }
 
@@ -315,39 +320,47 @@ Trace load_trace_lenient(const std::string& path, SalvageReport* report) {
   return read_trace_lenient(in, report);
 }
 
-namespace {
-
-/// Streambuf that appends everything written to a std::string.
-class StringAppendBuf : public std::streambuf {
- public:
-  explicit StringAppendBuf(std::string& out) : out_(out) {}
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (ch != traits_type::eof()) out_.push_back(static_cast<char>(ch));
-    return ch;
-  }
-  std::streamsize xsputn(const char* data, std::streamsize n) override {
-    out_.append(data, static_cast<std::size_t>(n));
-    return n;
-  }
-
- private:
-  std::string& out_;
-};
-
-}  // namespace
-
 void append_event_binary(const TraceEvent& event, std::string& out) {
-  StringAppendBuf buf(out);
-  std::ostream os(&buf);
-  write_event(os, event);
+  const std::size_t at = out.size();
+  if (const auto* start = std::get_if<SessionStart>(&event)) {
+    check_string(start->user_agent, "user agent", at);
+    out.resize(at + kStartFixedBytes + start->user_agent.size());
+    RecordWriter w(out.data() + at);
+    w.pod(RecordKind::kSessionStart);
+    w.pod(start->time);
+    w.pod(start->session_id);
+    w.pod(start->ip);
+    w.pod(static_cast<std::uint8_t>(start->ultrapeer));
+    w.string(start->user_agent);
+  } else if (const auto* msg = std::get_if<MessageEvent>(&event)) {
+    check_string(msg->query, "query", at);
+    out.resize(at + kMessageFixedBytes + msg->query.size());
+    RecordWriter w(out.data() + at);
+    w.pod(RecordKind::kMessage);
+    w.pod(msg->time);
+    w.pod(msg->session_id);
+    w.pod(static_cast<std::uint8_t>(msg->type));
+    w.pod(msg->ttl);
+    w.pod(msg->hops);
+    w.pod(msg->guid_hash);
+    w.string(msg->query);
+    w.pod(static_cast<std::uint8_t>(msg->sha1));
+    w.pod(msg->source_ip);
+    w.pod(msg->shared_files);
+  } else {
+    const auto& end = std::get<SessionEnd>(event);
+    out.resize(at + kEndFixedBytes);
+    RecordWriter w(out.data() + at);
+    w.pod(RecordKind::kSessionEnd);
+    w.pod(end.time);
+    w.pod(end.session_id);
+    w.pod(static_cast<std::uint8_t>(end.reason));
+  }
 }
 
 void append_header_binary(std::string& out) {
-  StringAppendBuf buf(out);
-  std::ostream os(&buf);
-  write_header(os);
+  out.append(kMagic, sizeof(kMagic));
+  out.append(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
 }
 
 TraceEvent decode_event_binary(const std::uint8_t* data, std::size_t size) {
@@ -381,40 +394,17 @@ Trace load_binary(const std::string& path) {
   }
 }
 
-namespace {
-
-/// Streambuf that hashes every byte written to it and stores nothing.
-class DigestStreambuf : public std::streambuf {
- public:
-  std::uint64_t digest() const noexcept { return hash_; }
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (ch != traits_type::eof()) mix(static_cast<unsigned char>(ch));
-    return ch;
-  }
-  std::streamsize xsputn(const char* data, std::streamsize n) override {
-    for (std::streamsize i = 0; i < n; ++i) {
-      mix(static_cast<unsigned char>(data[i]));
-    }
-    return n;
-  }
-
- private:
-  void mix(unsigned char byte) noexcept {
-    hash_ ^= byte;
-    hash_ *= 0x100000001b3ULL;  // FNV-1a 64-bit prime
-  }
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;  // FNV offset basis
-};
-
-}  // namespace
-
 std::uint64_t binary_digest(const Trace& trace) {
-  DigestStreambuf buf;
-  std::ostream out(&buf);
-  write_binary(trace, out);
-  return buf.digest();
+  std::string record;
+  append_header_binary(record);
+  std::uint64_t hash =
+      fnv1a_update(kFnvOffsetBasis, record.data(), record.size());
+  for (const auto& event : trace.events()) {
+    record.clear();
+    append_event_binary(event, record);
+    hash = fnv1a_update(hash, record.data(), record.size());
+  }
+  return hash;
 }
 
 void write_csv(const Trace& trace, std::ostream& out) {
@@ -442,14 +432,20 @@ void write_csv(const Trace& trace, std::ostream& out) {
 
 struct BinaryTraceWriter::Impl {
   std::ofstream out;
+  std::string record;
   bool closed = false;
+
+  void write_record() {
+    out.write(record.data(), static_cast<std::streamsize>(record.size()));
+  }
 };
 
 BinaryTraceWriter::BinaryTraceWriter(const std::string& path)
     : impl_(std::make_unique<Impl>()) {
   impl_->out.open(path, std::ios::binary);
   if (!impl_->out) throw std::runtime_error("trace: cannot open " + path);
-  write_header(impl_->out);
+  append_header_binary(impl_->record);
+  impl_->write_record();
 }
 
 BinaryTraceWriter::~BinaryTraceWriter() {
@@ -462,7 +458,9 @@ BinaryTraceWriter::~BinaryTraceWriter() {
 
 void BinaryTraceWriter::on_event(const TraceEvent& event) {
   if (impl_->closed) throw std::logic_error("BinaryTraceWriter: already closed");
-  write_event(impl_->out, event);
+  impl_->record.clear();
+  append_event_binary(event, impl_->record);
+  impl_->write_record();
   ++events_written_;
 }
 

@@ -8,6 +8,8 @@
 //   * CSV export for ad-hoc inspection (examples/trace_inspector).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "trace/trace.hpp"
+#include "util/fnv1a.hpp"
 
 namespace p2pgen::trace {
 
@@ -101,10 +104,21 @@ Trace read_trace_lenient(std::istream& in, SalvageReport* report = nullptr);
 Trace load_trace_lenient(const std::string& path,
                          SalvageReport* report = nullptr);
 
+/// Longest string field (user agent, query) a record may carry.  The
+/// decoder refuses longer ones, so the encoder refuses them too.
+inline constexpr std::uint32_t kMaxStringBytes = 1u << 20;
+
+/// Longest encoded record: the message record's 41 fixed bytes plus one
+/// string of kMaxStringBytes.
+inline constexpr std::size_t kMaxRecordBytes = 41 + std::size_t{kMaxStringBytes};
+
 /// Appends the binary encoding of one event — exactly the record the
-/// stream format uses, without the file header — to `out`.  The
-/// building block of the durable spool (trace/spool.hpp), which frames
-/// and checksums each record individually.
+/// stream format uses, without the file header — to `out`.  The one
+/// record encoder: write_binary, BinaryTraceWriter, binary_digest and
+/// the durable spool (trace/spool.hpp, which frames and checksums each
+/// record) all go through it.  Throws TraceIoError, leaving `out`
+/// untouched, when a string field exceeds kMaxStringBytes — a record the
+/// decoder would refuse is never written.
 void append_event_binary(const TraceEvent& event, std::string& out);
 
 /// Appends the binary stream header ("P2PT" magic + version) to `out` —
@@ -112,6 +126,10 @@ void append_event_binary(const TraceEvent& event, std::string& out);
 /// the streaming analysis fold header-then-records into the same FNV-1a
 /// digest binary_digest() computes, without materializing a Trace.
 void append_header_binary(std::string& out);
+
+/// The FNV-1a digest binary_digest() and the spool fold records into.
+using util::fnv1a_update;
+using util::kFnvOffsetBasis;
 
 /// Decodes one record produced by append_event_binary.  Throws
 /// TraceIoError on malformed input or if the buffer holds trailing bytes
@@ -125,8 +143,8 @@ Trace load_binary(const std::string& path);
 /// CSV export (one row per event, header included).
 void write_csv(const Trace& trace, std::ostream& out);
 
-/// FNV-1a hash of the trace's binary serialization, computed streamingly
-/// (the serialized bytes are never materialized).  Two traces have equal
+/// FNV-1a hash of the trace's binary serialization, computed record by
+/// record (the whole serialized stream is never materialized).  Two traces have equal
 /// digests iff write_binary() would produce identical byte streams — the
 /// cheap byte-identity check used by the determinism tests and the
 /// parallel-scaling bench.

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "geo/geoip.hpp"
+#include "stats/rng.hpp"
+#include "trace/spool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
 
@@ -245,6 +250,172 @@ TEST(TraceIo, FileRoundTripViaWriterSink) {
   const auto loaded = trace::load_binary(path);
   EXPECT_EQ(loaded.size(), original.size());
   EXPECT_EQ(loaded.stats().direct_connections, 2u);
+}
+
+// ------------------------------------------------------------ record codec
+
+/// Lower-case hex of a byte string.
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+std::string encode(const trace::TraceEvent& event) {
+  std::string out;
+  trace::append_event_binary(event, out);
+  return out;
+}
+
+/// One record of each kind, plus both query-length extremes that matter
+/// to the encoder (a string longer than the 15-byte small-string buffer
+/// and an empty one).
+std::vector<trace::TraceEvent> pinned_events() {
+  trace::SessionStart start;
+  start.time = 12.5;
+  start.session_id = 7;
+  start.ip = 0x0A000001u;
+  start.ultrapeer = true;
+  start.user_agent = "LimeWire/4.2";
+
+  trace::MessageEvent long_query;
+  long_query.time = 100.25;
+  long_query.session_id = 0x0102030405060708ULL;
+  long_query.type = gnutella::MessageType::kQuery;
+  long_query.ttl = 5;
+  long_query.hops = 1;
+  long_query.query = "free music download mp3";
+  long_query.sha1 = true;
+  long_query.guid_hash = 0xDEADBEEFCAFEF00DULL;
+
+  trace::MessageEvent empty_query;
+  empty_query.time = 3.0;
+  empty_query.session_id = 42;
+  empty_query.type = gnutella::MessageType::kQuery;
+  empty_query.ttl = 7;
+  empty_query.hops = 2;
+  empty_query.source_ip = 0xC0A80001u;
+  empty_query.shared_files = 1234;
+  empty_query.guid_hash = 99;
+
+  trace::SessionEnd end;
+  end.time = 200.75;
+  end.session_id = 7;
+  end.reason = trace::EndReason::kIdleProbe;
+  return {start, long_query, empty_query, end};
+}
+
+TEST(RecordCodec, EncodingIsPinnedForEveryRecordKind) {
+  // Bytes of the version-2 record format; a change here is a format
+  // change and needs a kVersion bump, not a new pin.
+  const std::vector<trace::TraceEvent> events = pinned_events();
+  EXPECT_EQ(hex(encode(events[0])),
+            "01000000000000294007000000000000000100000a010c0000004c696d6557"
+            "6972652f342e32");
+  EXPECT_EQ(hex(encode(events[1])),
+            "02000000000010594008070605040302018005010df0fecaefbeadde170000"
+            "0066726565206d7573696320646f776e6c6f6164206d703301000000000000"
+            "0000");
+  EXPECT_EQ(hex(encode(events[2])),
+            "0200000000000008402a00000000000000800702630000000000000000000000"
+            "000100a8c0d2040000");
+  EXPECT_EQ(hex(encode(events[3])), "030000000000186940070000000000000001");
+
+  std::string header;
+  trace::append_header_binary(header);
+  EXPECT_EQ(hex(header), "5032505402000000");
+}
+
+TEST(RecordCodec, StreamAndDigestAreHeaderThenRecords) {
+  const std::vector<trace::TraceEvent> events = pinned_events();
+  trace::Trace t;
+  std::string expected;
+  trace::append_header_binary(expected);
+  for (const auto& event : events) {
+    t.append(event);
+    expected += encode(event);
+  }
+  const trace::Trace sample = sample_trace();
+  for (const auto& event : sample.events()) {
+    t.append(event);
+    expected += encode(event);
+  }
+
+  std::ostringstream os;
+  trace::write_binary(t, os);
+  EXPECT_EQ(os.str(), expected);
+  EXPECT_EQ(trace::binary_digest(t),
+            trace::fnv1a_update(trace::kFnvOffsetBasis, expected.data(),
+                                expected.size()));
+
+  const std::string path = ::testing::TempDir() + "/p2pgen_codec_sink.bin";
+  {
+    trace::BinaryTraceWriter writer(path);
+    for (const auto& event : t.events()) writer.on_event(event);
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, expected);
+}
+
+TEST(RecordCodec, RandomEventsRoundTripExactly) {
+  stats::Rng rng(0x5EED);
+  const auto random_string = [&rng] {
+    // Mostly short strings, some past the small-string buffer, a few long.
+    const std::uint64_t cap = rng.bernoulli(0.05) ? 4096 : 40;
+    std::string s(rng.uniform_index(cap + 1), '\0');
+    for (auto& c : s) c = static_cast<char>(rng.next_u64());
+    return s;
+  };
+  std::string buffer;
+  for (int i = 0; i < 12000; ++i) {
+    trace::TraceEvent event;
+    switch (rng.uniform_index(3)) {
+      case 0: {
+        trace::SessionStart s;
+        s.time = rng.uniform(0.0, 1e7);
+        s.session_id = rng.next_u64();
+        s.ip = static_cast<std::uint32_t>(rng.next_u64());
+        s.ultrapeer = rng.bernoulli(0.5);
+        s.user_agent = random_string();
+        event = s;
+        break;
+      }
+      case 1: {
+        trace::MessageEvent m;
+        m.time = rng.uniform(0.0, 1e7);
+        m.session_id = rng.next_u64();
+        m.type = static_cast<gnutella::MessageType>(rng.next_u64());
+        m.ttl = static_cast<std::uint8_t>(rng.next_u64());
+        m.hops = static_cast<std::uint8_t>(rng.next_u64());
+        m.query = random_string();
+        m.sha1 = rng.bernoulli(0.5);
+        m.source_ip = static_cast<std::uint32_t>(rng.next_u64());
+        m.shared_files = static_cast<std::uint32_t>(rng.next_u64());
+        m.guid_hash = rng.next_u64();
+        event = m;
+        break;
+      }
+      default: {
+        trace::SessionEnd e;
+        e.time = rng.uniform(0.0, 1e7);
+        e.session_id = rng.next_u64();
+        e.reason = static_cast<trace::EndReason>(rng.uniform_index(4));
+        event = e;
+        break;
+      }
+    }
+    buffer.clear();
+    trace::append_event_binary(event, buffer);
+    const auto* data = reinterpret_cast<const std::uint8_t*>(buffer.data());
+    ASSERT_EQ(trace::decode_event_binary(data, buffer.size()), event)
+        << "event " << i;
+  }
 }
 
 }  // namespace

@@ -43,7 +43,9 @@ TEST(QtraceSampling, HigherRatesSampleSupersets) {
   for (std::uint64_t q = 1; q <= 20000; ++q) {
     const bool at_01 = obs::qtrace_sampled(q, 0.01);
     const bool at_25 = obs::qtrace_sampled(q, 0.25);
-    if (at_01) EXPECT_TRUE(at_25) << "query " << q;
+    if (at_01) {
+      EXPECT_TRUE(at_25) << "query " << q;
+    }
     sampled_01 += at_01 ? 1 : 0;
     sampled_25 += at_25 ? 1 : 0;
   }

@@ -2,12 +2,15 @@
 // trace reader: round trips across segment rolls, writer resume after
 // close, fuzzed torn tails and corrupted bytes (every damaged spool must
 // recover exactly the valid record prefix and at most the unsynced tail
-// frame may be lost), and the interior-damage hard error.  The fuzz
-// loops double as the ASan/UBSan workout for the recovery scanner.
+// frame may be lost), the interior-damage hard error, the record-size
+// limit the writer shares with the reader, and the CRC-32 every frame
+// carries.  The fuzz loops double as the ASan/UBSan workout for the
+// recovery scanner.
 #include "trace/spool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -28,6 +31,7 @@
 #include "stats/rng.hpp"
 #include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
+#include "util/crc32.hpp"
 
 namespace p2pgen {
 namespace {
@@ -674,6 +678,114 @@ TEST(SpoolSalvage, TruncateToValidPrefixEnablesStrictReplay) {
     writer.close();
   }
   EXPECT_EQ(serialize(trace::read_spool(fx.dir)), serialize(fx.original));
+}
+
+// ------------------------------------------------------------ record limits
+
+trace::MessageEvent query_of_length(std::size_t bytes) {
+  trace::MessageEvent msg;
+  msg.time = 1000.0;
+  msg.session_id = 1;
+  msg.type = gnutella::MessageType::kQuery;
+  msg.ttl = 3;
+  msg.hops = 1;
+  msg.query = std::string(bytes, 'x');
+  return msg;
+}
+
+TEST(Spool, OversizedStringIsRefusedBeforeAnyByteIsWritten) {
+  // The decoder refuses strings over kMaxStringBytes, so the writer must
+  // too: a CRC-valid but undecodable frame would break strict reads.
+  const std::string dir = temp_spool_dir("oversized");
+  const trace::Trace original = make_trace(8, 21);
+  trace::SpoolWriter writer(dir);
+  for (const auto& event : original.events()) writer.append(event);
+  writer.sync();
+  const std::string segment = last_segment(dir);
+  const auto size_before = fs::file_size(segment);
+  const std::uint64_t records_before = writer.records();
+
+  EXPECT_THROW(writer.append(query_of_length(trace::kMaxStringBytes + 1)),
+               trace::TraceIoError);
+  trace::SessionStart start;
+  start.session_id = 99;
+  start.user_agent = std::string(trace::kMaxStringBytes + 1, 'u');
+  EXPECT_THROW(writer.append(start), trace::TraceIoError);
+
+  writer.sync();
+  EXPECT_EQ(writer.records(), records_before);
+  EXPECT_EQ(fs::file_size(segment), size_before);
+  writer.close();
+
+  trace::SpoolRecoveryReport report;
+  const trace::Trace loaded = trace::read_spool(dir, &report);
+  EXPECT_FALSE(report.torn);
+  EXPECT_EQ(serialize(loaded), serialize(original));
+}
+
+TEST(Spool, MaximalStringRoundTripsThroughSpoolAndTraceFile) {
+  trace::Trace original;
+  original.append(trace::TraceEvent(query_of_length(trace::kMaxStringBytes)));
+
+  const std::string dir = temp_spool_dir("maximal");
+  spool_trace(original, dir);
+  EXPECT_EQ(serialize(trace::read_spool(dir)), serialize(original));
+
+  const std::string path = dir + "/maximal.bin";
+  trace::save_binary(original, path);
+  const trace::Trace loaded = trace::load_binary(path);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.events()[0], original.events()[0]);
+}
+
+// ------------------------------------------------------------------ CRC-32
+
+std::uint32_t bitwise_crc32(const unsigned char* data, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(util::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(util::crc32(nullptr, 0), 0u);
+  EXPECT_EQ(trace::crc32("123456789", 9), 0xCBF43926u);
+}
+
+TEST(Crc32, EveryLengthAndAlignmentMatchesTheBitwiseReference) {
+  stats::Rng rng(0xC3C3);
+  std::vector<unsigned char> buffer(257 + 8);
+  for (auto& byte : buffer) byte = static_cast<unsigned char>(rng.next_u64());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const unsigned char* data = buffer.data() + offset;
+      ASSERT_EQ(util::crc32(data, len), bitwise_crc32(data, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChunkedUpdateEqualsOneShot) {
+  stats::Rng rng(0xC4C4);
+  std::vector<unsigned char> buffer(4099);
+  for (auto& byte : buffer) byte = static_cast<unsigned char>(rng.next_u64());
+  const std::uint32_t whole = util::crc32(buffer.data(), buffer.size());
+  for (int trial = 0; trial < 50; ++trial) {
+    std::uint32_t state = util::crc32_init();
+    std::size_t pos = 0;
+    while (pos < buffer.size()) {
+      const std::size_t chunk = std::min<std::size_t>(
+          buffer.size() - pos, rng.uniform_index(trial < 25 ? 12 : 300));
+      state = util::crc32_update(state, buffer.data() + pos, chunk);
+      pos += chunk;
+    }
+    ASSERT_EQ(util::crc32_final(state), whole) << "trial " << trial;
+  }
 }
 
 #if P2PGEN_TEST_HAVE_UNISTD
