@@ -438,8 +438,9 @@ int main(int argc, char** argv) {
     qtrace = std::move(streaming->qtrace);
     timeline = std::move(streaming->timeline);
     std::cout << "  streaming pass:      " << streaming->streaming.segments_read
-              << " segment(s) in " << streaming->streaming.decode_waves
-              << " wave(s), max open sessions "
+              << " segment(s), at most "
+              << streaming->streaming.max_decoded_segments
+              << " decoded at once, max open sessions "
               << streaming->streaming.max_open_sessions << " (tracked "
               << streaming->streaming.max_tracked_sessions << ")\n";
   } else if (!durability.dir.empty()) {

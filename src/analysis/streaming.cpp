@@ -1,11 +1,17 @@
 #include "analysis/streaming.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <deque>
+#include <exception>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <stdexcept>
+#include <stop_token>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -17,67 +23,282 @@
 #include "trace/spool.hpp"
 #include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
-#include "util/thread_pool.hpp"
 
 namespace p2pgen::analysis {
 namespace {
 
-/// One spool segment after its parallel decode: the events and the
-/// canonicalized keyword strings of hop-1 queries (canonical_keywords
-/// dominates decode cost, so it runs in the wave).  The raw frame bytes
-/// are NOT kept: append_event_binary round-trips exactly (the checkpoint
-/// replay digest-check is built on that), so the consumer re-encodes each
-/// event — with its namespaced session id — when folding it into the
-/// trace digest.
+/// One decoded spool segment: the events and the canonicalized keyword
+/// strings of hop-1 queries (canonical_keywords dominates decode cost, so
+/// it runs on the decoding thread).  The raw frame bytes are NOT kept:
+/// append_event_binary round-trips exactly (the checkpoint replay
+/// digest-check is built on that), so the consumer re-encodes each event
+/// — with its namespaced session id — when folding it into the trace
+/// digest.
 struct DecodedSegment {
   std::vector<trace::TraceEvent> events;
-  std::vector<std::string> canonical;  // aligned; set for hop-1 QUERYs
+  /// One per hop-1 QUERY, in event order (most events are not one, so
+  /// an event-aligned vector would hold mostly empty strings).
+  std::vector<std::string> canonical;
   trace::SegmentReadResult read;
 };
 
+/// `events_hint` is the record count of the shard's previous segment:
+/// every segment but the last holds the same number, so reserving it
+/// skips the vector's doubling regrowths (each an mmap/munmap pair once
+/// the buffer is past the allocator's mmap threshold).
 DecodedSegment decode_segment(const trace::SpoolReader& reader,
-                              std::size_t index) {
+                              std::size_t index, std::size_t events_hint) {
   obs::ObsSpan span("streaming.segment_decode");
   DecodedSegment seg;
+  seg.events.reserve(events_hint);
   seg.read = reader.read_segment(
       index, [&seg](const std::uint8_t* data, std::size_t size) {
         seg.events.push_back(trace::decode_event_binary(data, size));
       });
-  seg.canonical.resize(seg.events.size());
-  for (std::size_t i = 0; i < seg.events.size(); ++i) {
-    const auto* msg = std::get_if<trace::MessageEvent>(&seg.events[i]);
-    if (msg != nullptr && msg->type == gnutella::MessageType::kQuery &&
-        msg->hops == 1) {
-      seg.canonical[i] = gnutella::canonical_keywords(msg->query);
-    }
+  const auto hop1_query = [](const trace::TraceEvent& event) {
+    const auto* msg = std::get_if<trace::MessageEvent>(&event);
+    return msg != nullptr && msg->type == gnutella::MessageType::kQuery &&
+           msg->hops == 1;
+  };
+  seg.canonical.reserve(static_cast<std::size_t>(
+      std::count_if(seg.events.begin(), seg.events.end(), hop1_query)));
+  for (const auto& event : seg.events) {
+    if (!hop1_query(event)) continue;
+    gnutella::canonical_keywords(std::get<trace::MessageEvent>(event).query,
+                                 seg.canonical.emplace_back());
   }
   return seg;
 }
 
-/// Per-shard read state of the deterministic merge.
-struct ShardCursor {
-  ShardCursor(const std::string& dir, trace::SpoolReadMode mode)
-      : reader(dir, mode) {}
-
-  trace::SpoolReader reader;
-  std::uint64_t id_base = 0;          // shard * kShardSessionStride
-  std::size_t next_segment = 0;       // next segment index to decode
-  std::deque<DecodedSegment> ready;   // decoded, not yet fully consumed
-  std::size_t event_pos = 0;          // position within ready.front()
-  bool torn = false;                  // spool ended in a torn tail
-  /// Salvage mode: the shard's gap accounting, fed one segment at a time
-  /// in index order as decoded segments are pushed onto `ready`.
-  trace::SalvageAssembler assembler;
-
-  bool exhausted() const noexcept {
-    return ready.empty() && next_segment >= reader.segment_count();
-  }
-};
-
-/// How many decoded segments a shard may hold before the wave scheduler
-/// stops prefetching for it.  Bounds streaming memory at
+/// How many decoded segments a shard may hold at once: queued (being
+/// decoded or ready), the one the consumer is merging, and consumed ones
+/// not yet freed all count.  Bounds streaming memory at
 /// O(shards * depth * segment), independent of spool size.
 constexpr std::size_t kPrefetchDepth = 2;
+
+/// Bounded per-shard queues of decoded segments.  `threads - 1` decoder
+/// threads fill them ahead of the consumer and free the segments it has
+/// finished with; whatever the consumer needs that no decoder has claimed
+/// yet it decodes inline, so one thread spawns nothing and the pass never
+/// uses more than `threads` threads.  The consumer takes each shard's
+/// segments strictly in index order, which is what keeps results
+/// identical at any thread count: decoders only change WHEN a segment is
+/// decoded, never which bytes the consumer sees or in what order.
+class SegmentPipeline {
+ public:
+  SegmentPipeline(const std::vector<std::string>& dirs,
+                  trace::SpoolReadMode mode, unsigned threads)
+      : queues_(dirs.size()) {
+    readers_.reserve(dirs.size());
+    for (const auto& dir : dirs) readers_.emplace_back(dir, mode);
+    for (unsigned t = 1; t < threads; ++t) {
+      decoders_.emplace_back(
+          [this](std::stop_token stop) { decode_loop(stop); });
+    }
+  }
+
+  SegmentPipeline(const SegmentPipeline&) = delete;
+  SegmentPipeline& operator=(const SegmentPipeline&) = delete;
+
+  ~SegmentPipeline() { stop(); }
+
+  const trace::SpoolReader& reader(std::size_t shard) const {
+    return readers_[shard];
+  }
+
+  /// Frees the segment `seg` holds for `shard` (if any) and moves the
+  /// shard's next segment into it.  False once the shard is exhausted.
+  /// A decode error is rethrown when the consumer reaches its segment —
+  /// the same error, in the same order, as a one-thread pass.
+  bool next(std::size_t shard, DecodedSegment& seg) {
+    std::unique_lock lock(mu_);
+    ShardQueue& q = queues_[shard];
+    if (q.holding) {
+      q.holding = false;
+      if (decoders_.empty()) {
+        seg = DecodedSegment{};
+        release(q);
+      } else {
+        garbage_.emplace_back(shard, std::move(seg));
+        work_cv_.notify_one();
+      }
+    }
+    for (;;) {
+      if (!q.queued.empty()) {
+        ready_cv_.wait(lock, [&q] { return q.queued.front().done; });
+        QueuedSegment front = std::move(q.queued.front());
+        q.queued.pop_front();
+        if (front.error) std::rethrow_exception(front.error);
+        seg = std::move(front.seg);
+        q.holding = true;
+        return true;
+      }
+      if (q.next_claim >= readers_[shard].segment_count()) return false;
+      if (q.held >= kPrefetchDepth) {
+        // Only this shard's consumed segments can fill the bound here.
+        // Free one inline rather than wait for a decoder busy elsewhere;
+        // if a decoder is already freeing it, wait for that.
+        const auto it = std::find_if(
+            garbage_.begin(), garbage_.end(),
+            [shard](const auto& item) { return item.first == shard; });
+        if (it == garbage_.end()) {
+          ready_cv_.wait(lock, [&q] { return q.held < kPrefetchDepth; });
+          continue;
+        }
+        DecodedSegment doomed = std::move(it->second);
+        garbage_.erase(it);
+        lock.unlock();
+        doomed = DecodedSegment{};
+        lock.lock();
+        release(q);
+        continue;
+      }
+      const std::size_t index = q.next_claim++;
+      claim(q);
+      const std::size_t hint = q.events_hint;
+      lock.unlock();
+      seg = decode_segment(readers_[shard], index, hint);
+      lock.lock();
+      q.events_hint = seg.events.size();
+      q.holding = true;
+      return true;
+    }
+  }
+
+  /// Stops the decoders once they have freed every consumed segment, and
+  /// joins them.  Idempotent; also runs on every exit path via the
+  /// destructor.
+  void stop() {
+    for (auto& decoder : decoders_) decoder.request_stop();
+    decoders_.clear();
+  }
+
+  /// High-water count of decoded segments alive at once, all shards.
+  std::uint64_t max_alive() const {
+    std::lock_guard lock(mu_);
+    return max_alive_;
+  }
+
+ private:
+  /// A segment a decoder claimed, queued in its shard's index order.
+  struct QueuedSegment {
+    std::size_t index = 0;
+    bool done = false;
+    DecodedSegment seg;
+    std::exception_ptr error;
+  };
+
+  struct ShardQueue {
+    std::deque<QueuedSegment> queued;
+    std::size_t next_claim = 0;   // next segment index nobody has claimed
+    std::size_t held = 0;         // counted against kPrefetchDepth
+    std::size_t events_hint = 0;  // record count of the latest decode
+    bool holding = false;         // the consumer holds one of `held`
+  };
+
+  void claim(ShardQueue& q) {
+    ++q.held;
+    ++alive_;
+    max_alive_ = std::max(max_alive_, alive_);
+  }
+
+  void release(ShardQueue& q) {
+    --q.held;
+    --alive_;
+  }
+
+  /// The claimable shard whose queue is shortest (lowest index on ties),
+  /// or queues_.size() when none may claim.
+  std::size_t claimable() const {
+    std::size_t best = queues_.size();
+    for (std::size_t s = 0; s < queues_.size(); ++s) {
+      const ShardQueue& q = queues_[s];
+      if (q.held >= kPrefetchDepth ||
+          q.next_claim >= readers_[s].segment_count()) {
+        continue;
+      }
+      if (best == queues_.size() ||
+          q.queued.size() < queues_[best].queued.size()) {
+        best = s;
+      }
+    }
+    return best;
+  }
+
+  void decode_loop(std::stop_token stop) {
+    std::unique_lock lock(mu_);
+    for (;;) {
+      work_cv_.wait(lock, stop, [this] {
+        return !garbage_.empty() || claimable() < queues_.size();
+      });
+      // Freeing comes first, and continues after a stop: the consumer's
+      // finished segments are what hold the bound.
+      if (!garbage_.empty()) {
+        const std::size_t shard = garbage_.back().first;
+        DecodedSegment doomed = std::move(garbage_.back().second);
+        garbage_.pop_back();
+        lock.unlock();
+        doomed = DecodedSegment{};
+        lock.lock();
+        release(queues_[shard]);
+        ready_cv_.notify_one();
+        continue;
+      }
+      if (stop.stop_requested()) return;
+      const std::size_t shard = claimable();
+      ShardQueue& q = queues_[shard];
+      const std::size_t index = q.next_claim++;
+      claim(q);
+      q.queued.push_back(QueuedSegment{index, false, {}, nullptr});
+      const std::size_t hint = q.events_hint;
+      lock.unlock();
+      DecodedSegment seg;
+      std::exception_ptr error;
+      try {
+        seg = decode_segment(readers_[shard], index, hint);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      if (!error) q.events_hint = seg.events.size();
+      for (QueuedSegment& queued : q.queued) {
+        if (queued.index != index) continue;
+        queued.seg = std::move(seg);
+        queued.error = error;
+        queued.done = true;
+        break;
+      }
+      ready_cv_.notify_one();
+    }
+  }
+
+  std::vector<trace::SpoolReader> readers_;
+  mutable std::mutex mu_;
+  std::condition_variable ready_cv_;     // consumer: a decode or free done
+  std::condition_variable_any work_cv_;  // decoders: a segment to free
+  std::vector<ShardQueue> queues_;
+  /// Consumed segments awaiting a decoder to free them, tagged by shard.
+  std::vector<std::pair<std::size_t, DecodedSegment>> garbage_;
+  std::uint64_t alive_ = 0;
+  std::uint64_t max_alive_ = 0;
+  /// Last member: destroyed (stopped and joined) before the state above.
+  std::vector<std::jthread> decoders_;
+};
+
+/// Per-shard merge state of the consumer.
+struct ShardCursor {
+  std::uint64_t id_base = 0;          // shard * kShardSessionStride
+  DecodedSegment segment;             // the segment being merged
+  std::size_t position = 0;           // list position of the next segment
+  std::size_t event_pos = 0;          // position within `segment`
+  std::size_t canonical_pos = 0;      // next entry of segment.canonical
+  /// Time of segment.events[event_pos]; +inf once the shard is exhausted.
+  double head_time = std::numeric_limits<double>::infinity();
+  bool torn = false;                  // spool ended in a torn tail
+  /// Salvage mode: the shard's gap accounting, fed one segment at a time
+  /// in index order as the consumer takes them.
+  trace::SalvageAssembler assembler;
+};
 
 /// One reconstructed session plus its SessionStart sequence number — the
 /// emission key that reproduces the materialized dataset's vector order.
@@ -87,7 +308,7 @@ struct TrackedSession {
 };
 
 /// The whole streaming pass.  A class only to keep the state shared by
-/// the wave scheduler, the merge consumer and the emitter in one place.
+/// the merge consumer and the emitter in one place.
 class StreamingPass {
  public:
   StreamingPass(const std::vector<std::string>& shard_dirs,
@@ -95,16 +316,15 @@ class StreamingPass {
                 const StreamingOptions& options)
       : geodb_(geodb),
         options_(options),
-        pool_(options.threads == 0 ? 1 : options.threads),
-        shard_dirs_(shard_dirs) {
-    const trace::SpoolReadMode mode = options.salvage
-                                          ? trace::SpoolReadMode::kSalvage
-                                          : trace::SpoolReadMode::kStrict;
-    cursors_.reserve(shard_dirs.size());
-    for (std::size_t k = 0; k < shard_dirs.size(); ++k) {
-      cursors_.emplace_back(shard_dirs[k], mode);
-      cursors_.back().id_base = static_cast<std::uint64_t>(k) *
-                                trace::kShardSessionStride;
+        shard_dirs_(shard_dirs),
+        cursors_(shard_dirs.size()),
+        pipeline_(shard_dirs,
+                  options.salvage ? trace::SpoolReadMode::kSalvage
+                                  : trace::SpoolReadMode::kStrict,
+                  options.threads == 0 ? 1 : options.threads) {
+    for (std::size_t k = 0; k < cursors_.size(); ++k) {
+      cursors_[k].id_base =
+          static_cast<std::uint64_t>(k) * trace::kShardSessionStride;
     }
     std::string header;
     trace::append_header_binary(header);
@@ -115,121 +335,73 @@ class StreamingPass {
   StreamingResult run() {
     obs::ObsSpan span("streaming.analyze");
     consume_all();
+    pipeline_.stop();
+    stats_out_.max_decoded_segments = pipeline_.max_alive();
     return finalize();
   }
 
  private:
-  // ---- decode waves ----------------------------------------------------
+  // ---- segment intake ----------------------------------------------------
 
-  /// Decodes the next wave of segments in parallel: one segment for every
-  /// shard that is out of ready events (the consumer cannot pick a merge
-  /// head without one), plus round-robin prefetch up to the pool width.
-  /// Which segments are decoded when never affects results — only the
-  /// consumer's fixed (time, shard) order does.
-  void refill() {
-    obs::ObsSpan span("streaming.decode_wave");
-    std::vector<std::pair<std::size_t, std::size_t>> wave;  // (shard, segment)
-    std::vector<std::size_t> pending(cursors_.size(), 0);
-    for (std::size_t s = 0; s < cursors_.size(); ++s) {
-      ShardCursor& cur = cursors_[s];
-      if (cur.ready.empty() && cur.next_segment < cur.reader.segment_count()) {
-        wave.emplace_back(s, cur.next_segment++);
-        ++pending[s];
-      }
-    }
-    const std::size_t width =
-        std::max<std::size_t>(wave.size(), pool_.size());
-    bool added = true;
-    while (wave.size() < width && added) {
-      added = false;
-      for (std::size_t s = 0; s < cursors_.size() && wave.size() < width;
-           ++s) {
-        ShardCursor& cur = cursors_[s];
-        if (cur.ready.size() + pending[s] >= kPrefetchDepth) continue;
-        if (cur.next_segment >= cur.reader.segment_count()) continue;
-        wave.emplace_back(s, cur.next_segment++);
-        ++pending[s];
-        added = true;
-      }
-    }
-    if (wave.empty()) return;
-
-    std::vector<DecodedSegment> decoded(wave.size());
-    pool_.run_indexed(wave.size(), [&](std::size_t i) {
-      decoded[i] = decode_segment(cursors_[wave[i].first].reader,
-                                  wave[i].second);
-    });
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      ShardCursor& cur = cursors_[wave[i].first];
-      if (decoded[i].read.torn && !cur.torn) {
+  /// Moves shard `s` on to its next non-empty segment (or marks it
+  /// exhausted), doing the per-segment bookkeeping in index order.
+  void advance(std::size_t s) {
+    ShardCursor& cur = cursors_[s];
+    cur.event_pos = 0;
+    cur.canonical_pos = 0;
+    while (pipeline_.next(s, cur.segment)) {
+      const std::size_t position = cur.position++;
+      ++stats_out_.segments_read;
+      if (cur.segment.read.torn && !cur.torn) {
         cur.torn = true;
         ++stats_out_.shards_torn;
       }
       if (options_.salvage) {
-        // Feed the shard's gap accounting in segment-index order (the
-        // wave list preserves per-shard order), missing files included —
-        // the exact protocol read_spool_salvage follows, so both paths
-        // report identical gaps for identical damage.
+        // Feed the shard's gap accounting in segment-index order, missing
+        // files included — the exact protocol read_spool_salvage follows,
+        // so both paths report identical gaps for identical damage.
         for (const std::size_t hole :
-             cur.reader.missing_before(wave[i].second)) {
+             pipeline_.reader(s).missing_before(position)) {
           cur.assembler.add_missing_segment(trace::spool_segment_name(hole));
         }
-        cur.assembler.add_segment(decoded[i].read);
+        cur.assembler.add_segment(cur.segment.read);
       }
-      cur.ready.push_back(std::move(decoded[i]));
-    }
-    stats_out_.segments_read += wave.size();
-    ++stats_out_.decode_waves;
-  }
-
-  /// Drops fully consumed segments and guarantees every non-exhausted
-  /// shard has a ready head event, decoding waves as needed.
-  void ensure_heads() {
-    for (;;) {
-      bool need = false;
-      for (ShardCursor& cur : cursors_) {
-        while (!cur.ready.empty() &&
-               cur.event_pos >= cur.ready.front().events.size()) {
-          cur.ready.pop_front();
-          cur.event_pos = 0;
-        }
-        need = need ||
-               (cur.ready.empty() &&
-                cur.next_segment < cur.reader.segment_count());
+      if (!cur.segment.events.empty()) {
+        cur.head_time = trace::event_time(cur.segment.events.front());
+        return;
       }
-      if (!need) return;
-      refill();
     }
+    cur.head_time = std::numeric_limits<double>::infinity();
   }
 
   // ---- deterministic merge consumer ------------------------------------
 
   void consume_all() {
+    for (std::size_t s = 0; s < cursors_.size(); ++s) advance(s);
     for (;;) {
-      ensure_heads();
       // merge_traces pops by (time, shard index): scanning shards in
       // ascending index with a strict `<` reproduces that order exactly.
       std::size_t best = cursors_.size();
       double best_time = std::numeric_limits<double>::infinity();
       for (std::size_t s = 0; s < cursors_.size(); ++s) {
-        const ShardCursor& cur = cursors_[s];
-        if (cur.ready.empty()) continue;
-        const double t =
-            trace::event_time(cur.ready.front().events[cur.event_pos]);
-        if (t < best_time) {
-          best_time = t;
+        if (cursors_[s].head_time < best_time) {
+          best_time = cursors_[s].head_time;
           best = s;
         }
       }
       if (best == cursors_.size()) return;  // all shards exhausted
-      consume_one(cursors_[best]);
+      ShardCursor& cur = cursors_[best];
+      consume_one(cur);
+      if (++cur.event_pos < cur.segment.events.size()) {
+        cur.head_time = trace::event_time(cur.segment.events[cur.event_pos]);
+      } else {
+        advance(best);
+      }
     }
   }
 
   void consume_one(ShardCursor& cur) {
-    DecodedSegment& seg = cur.ready.front();
-    const std::size_t pos = cur.event_pos++;
-    trace::TraceEvent& event = seg.events[pos];
+    trace::TraceEvent& event = cur.segment.events[cur.event_pos];
 
     // Namespace the session id exactly like merge_traces, then fold the
     // re-encoded record bytes into the running binary_digest stream
@@ -264,8 +436,10 @@ class StreamingPass {
       switch (msg->type) {
         case gnutella::MessageType::kQuery:
           ++stats_.query_messages;
-          if (msg->hops == 1) ++stats_.hop1_queries;
-          on_query(*msg, seg.canonical[pos]);
+          if (msg->hops == 1) {
+            ++stats_.hop1_queries;
+            on_hop1_query(*msg, cur.segment.canonical[cur.canonical_pos++]);
+          }
           break;
         case gnutella::MessageType::kQueryHit:
           ++stats_.queryhit_messages;
@@ -327,8 +501,7 @@ class StreamingPass {
     }
   }
 
-  void on_query(const trace::MessageEvent& msg, std::string& canonical) {
-    if (msg.hops != 1) return;
+  void on_hop1_query(const trace::MessageEvent& msg, std::string& canonical) {
     const auto it = id_index_.find(msg.session_id);
     if (it == id_index_.end()) {
       // The materialized path drops exactly these too: no SessionStart.
@@ -557,7 +730,6 @@ class StreamingPass {
     }
 
     publish_metrics(result.streaming);
-    util::publish_pool_stats("pool.streaming", pool_.stats());
     return result;
   }
 
@@ -565,7 +737,6 @@ class StreamingPass {
     auto& registry = obs::Registry::global();
     if (!registry.enabled()) return;
     registry.counter("streaming.segments_read").add(s.segments_read);
-    registry.counter("streaming.decode_waves").add(s.decode_waves);
     registry.counter("streaming.events").add(s.events);
     registry.counter("streaming.shards_torn").add(s.shards_torn);
     registry.counter("streaming.unmatched_query_events")
@@ -576,14 +747,16 @@ class StreamingPass {
         .record_max(static_cast<std::int64_t>(s.max_open_sessions));
     registry.gauge("streaming.max_tracked_sessions")
         .record_max(static_cast<std::int64_t>(s.max_tracked_sessions));
+    registry.gauge("streaming.max_decoded_segments")
+        .record_max(static_cast<std::int64_t>(s.max_decoded_segments));
   }
 
   // Inputs.
   const geo::GeoIpDatabase& geodb_;
   const StreamingOptions& options_;
-  util::ThreadPool pool_;
   std::vector<std::string> shard_dirs_;  ///< for the qtrace sidecars
   std::vector<ShardCursor> cursors_;
+  SegmentPipeline pipeline_;
 
   // Merge + digest state.
   std::uint64_t digest_ = trace::kFnvOffsetBasis;

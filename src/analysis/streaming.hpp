@@ -8,9 +8,10 @@
 // per-shard spools with peak memory O(segments in flight + open
 // sessions):
 //
-//   * segments are CRC-validated, decoded and keyword-canonicalized in
-//     parallel waves on the deterministic thread pool (trace/spool_reader
-//     single-pass iterator: validation and decode share one read);
+//   * segments are CRC-validated, decoded and keyword-canonicalized into
+//     bounded per-shard queues by decoder threads running alongside the
+//     consumer (trace/spool_reader single-pass iterator: validation and
+//     decode share one read);
 //   * a sequential consumer merges the decoded shard streams in the
 //     exact (time, shard) order of trace::merge_traces, namespacing
 //     session ids by kShardSessionStride and folding the patched record
@@ -22,10 +23,10 @@
 //     popularity_analysis.hpp expose the per-session forms), so every
 //     float lands in the same place in the same order.
 //
-// Parallelism only ever touches the decode phase, whose outputs are
-// pure per-segment values consumed in a fixed order — results are
-// therefore identical at any thread count, which the streaming
-// determinism suite pins against the materialized oracle.
+// Parallelism only ever touches segment decode (and freeing), whose
+// outputs are pure per-segment values the consumer takes in a fixed
+// order — results are therefore identical at any thread count, which the
+// streaming determinism suite pins against the materialized oracle.
 #pragma once
 
 #include <array>
@@ -48,7 +49,8 @@
 namespace p2pgen::analysis {
 
 struct StreamingOptions {
-  /// Threads for the segment decode waves.  Never changes results.
+  /// Threads of the pass: the merge consumer plus `threads - 1` segment
+  /// decoders.  Never changes results.
   unsigned threads = 1;
   /// Filter rules applied at session emission.
   FilterOptions filters{};
@@ -75,7 +77,10 @@ struct StreamingOptions {
 /// part of the materialized-equivalence surface.
 struct StreamingStats {
   std::uint64_t segments_read = 0;
-  std::uint64_t decode_waves = 0;
+  /// High-water count of decoded segments alive at once, all shards
+  /// (queued, being merged, or awaiting release); at most
+  /// 2 * shards.  Depends on thread timing, never on results.
+  std::uint64_t max_decoded_segments = 0;
   std::uint64_t events = 0;
   std::uint64_t shards_torn = 0;  ///< shards whose spool had a torn tail
   /// High-water mark of sessions that were open (no SessionEnd yet).

@@ -374,14 +374,14 @@ void MeasurementNode::handle_message(sim::ConnId conn, Session& session,
 
 void MeasurementNode::forward_query(sim::ConnId from,
                                     const gnutella::Message& message) {
-  forward_attempt(from, message,
-                  std::make_shared<std::unordered_set<sim::ConnId>>(), 0);
+  forward_used_.clear();
+  forward_attempt(from, message, forward_used_, 0);
 }
 
-void MeasurementNode::forward_attempt(
-    sim::ConnId from, const gnutella::Message& message,
-    const std::shared_ptr<std::unordered_set<sim::ConnId>>& used,
-    int attempt) {
+void MeasurementNode::forward_attempt(sim::ConnId from,
+                                      const gnutella::Message& message,
+                                      std::vector<sim::ConnId>& used,
+                                      int attempt) {
   const auto& payload = std::get<gnutella::QueryPayload>(message.payload);
   // Computed locally because retries re-enter this function later.
   std::uint64_t qkey = 0;
@@ -390,16 +390,26 @@ void MeasurementNode::forward_attempt(
     qkey = gnutella::GuidHash{}(message.guid);
     traced = qtracer_->sampled(qkey);
   }
+  // The query's QRP keyword hashes, computed at the first leaf that needs
+  // them and shared by every leaf table after it.
+  bool hashed = false;
   const double now = network_.simulator().now();
   for (auto& [conn, session] : sessions_) {
-    if (conn == from || used->count(conn) > 0) continue;
+    if (conn == from ||
+        std::find(used.begin(), used.end(), conn) != used.end()) {
+      continue;
+    }
     if (!network_.is_open(conn)) continue;
     if (!session.ultrapeer) {
       // Section 3.1: leaves receive a query only if their QRP table says
       // they are likely to respond.  Leaves that never sent a table share
       // nothing and are skipped entirely.  (Counted only on the first
       // pass: a retry revisiting the same leaf is not a new suppression.)
-      if (!session.qrp || !session.qrp->might_match(payload.keywords)) {
+      if (session.qrp && !hashed) {
+        gnutella::QrpTable::keyword_hashes(payload.keywords, query_hashes_);
+        hashed = true;
+      }
+      if (!session.qrp || !session.qrp->contains_all(query_hashes_)) {
         if (attempt == 0) {
           ++qrp_suppressed_;
           if (traced) {
@@ -417,15 +427,16 @@ void MeasurementNode::forward_attempt(
                        static_cast<std::uint8_t>(message.ttl - 1),
                        static_cast<std::uint8_t>(message.hops + 1));
     }
-    used->insert(conn);
+    used.push_back(conn);
     ++forwarded_;
-    if (used->size() >= static_cast<std::size_t>(config_.forward_fanout)) {
+    if (used.size() >= static_cast<std::size_t>(config_.forward_fanout)) {
       return;
     }
   }
   // Short pass: neighbor connections were lost under us.  Retry the
   // remainder with exponential backoff — by then new neighbors may have
-  // connected — up to the configured bound.
+  // connected — up to the configured bound.  Only a retry owns a copy of
+  // the neighbors already used.
   if (config_.forward_retry_max <= 0) return;
   if (attempt >= config_.forward_retry_max) {
     ++forward_retries_exhausted_;
@@ -435,10 +446,7 @@ void MeasurementNode::forward_attempt(
   const double delay = util::backoff_delay(
       config_.forward_retry_base, config_.forward_retry_max_delay, attempt);
   network_.simulator().schedule_after(
-      delay, [this, from, message, used, attempt] {
-        if (used->size() >= static_cast<std::size_t>(config_.forward_fanout)) {
-          return;
-        }
+      delay, [this, from, message, used, attempt]() mutable {
         forward_attempt(from, message, used, attempt + 1);
       });
 }

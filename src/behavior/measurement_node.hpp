@@ -19,10 +19,9 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "gnutella/codec.hpp"
 #include "gnutella/qrp.hpp"
@@ -261,9 +260,10 @@ class MeasurementNode final : public sim::Node {
   void arm_watchdog(sim::ConnId conn, double at);
   void watchdog_fire(sim::ConnId conn);
   void forward_query(sim::ConnId from, const gnutella::Message& message);
+  /// One forwarding pass; `used` holds the neighbors the query already
+  /// went to and gains the ones this pass reaches.
   void forward_attempt(sim::ConnId from, const gnutella::Message& message,
-                       const std::shared_ptr<std::unordered_set<sim::ConnId>>& used,
-                       int attempt);
+                       std::vector<sim::ConnId>& used, int attempt);
 
   sim::Network& network_;
   trace::TraceSink& sink_;
@@ -288,6 +288,10 @@ class MeasurementNode final : public sim::Node {
   std::uint64_t probe_closed_sessions_ = 0;
   std::uint64_t forward_retries_ = 0;
   std::uint64_t forward_retries_exhausted_ = 0;
+  /// Scratch reused by every forwarded query: the first pass's used
+  /// neighbors and the query's QRP keyword hashes.
+  std::vector<sim::ConnId> forward_used_;
+  std::vector<std::uint32_t> query_hashes_;
   std::uint64_t shed_connections_ = 0;
   std::uint64_t shed_queries_ = 0;
   // Query admission token bucket (lazy refill from sim time).

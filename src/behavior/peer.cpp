@@ -157,7 +157,10 @@ bool SimulatedPeer::owns_content(const std::string& keywords) {
     }
     shared_built_ = true;
   }
-  return shared_canonical_.count(gnutella::canonical_keywords(keywords)) > 0;
+  // One scratch string per thread: every forwarded query lands here.
+  thread_local std::string canonical;
+  gnutella::canonical_keywords(keywords, canonical);
+  return shared_canonical_.count(canonical) > 0;
 }
 
 void SimulatedPeer::send_route_table() {

@@ -1,7 +1,6 @@
 #include "gnutella/message.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <stdexcept>
 #include <vector>
 
@@ -78,28 +77,48 @@ Message make_route_table_update(stats::Rng& rng, std::vector<std::uint8_t> patch
                  RouteTablePayload{std::move(patch)}};
 }
 
-std::string canonical_keywords(std::string_view raw_query) {
-  std::vector<std::string> words;
-  std::string current;
-  for (char c : raw_query) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!current.empty()) {
-        words.push_back(std::move(current));
-        current.clear();
-      }
-    } else {
-      current.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
+namespace {
+
+// The "C" locale's isspace/tolower, without the locale lookups: nothing
+// in p2pgen calls setlocale, and bytes >= 0x80 are left alone either way.
+constexpr bool is_ascii_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+constexpr char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+}  // namespace
+
+void canonical_keywords(std::string_view raw_query, std::string& out) {
+  // Per-thread scratch: simulation shards and streaming decoders call
+  // this concurrently, and reusing the buffers keeps it allocation-free.
+  thread_local std::string lowered;
+  thread_local std::vector<std::string_view> words;
+  lowered.assign(raw_query);
+  for (char& c : lowered) c = ascii_lower(c);
+  words.clear();
+  const std::string_view text = lowered;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    while (pos < text.size() && is_ascii_space(text[pos])) ++pos;
+    const std::size_t begin = pos;
+    while (pos < text.size() && !is_ascii_space(text[pos])) ++pos;
+    if (pos > begin) words.push_back(text.substr(begin, pos - begin));
   }
-  if (!current.empty()) words.push_back(std::move(current));
   std::sort(words.begin(), words.end());
   words.erase(std::unique(words.begin(), words.end()), words.end());
-  std::string joined;
+  out.clear();
   for (std::size_t i = 0; i < words.size(); ++i) {
-    if (i > 0) joined.push_back(' ');
-    joined += words[i];
+    if (i > 0) out.push_back(' ');
+    out.append(words[i]);
   }
+}
+
+std::string canonical_keywords(std::string_view raw_query) {
+  std::string joined;
+  canonical_keywords(raw_query, joined);
   return joined;
 }
 

@@ -134,4 +134,8 @@ Message make_route_table_update(stats::Rng& rng, std::vector<std::uint8_t> patch
 /// keyword sets are equal (Section 3.2).
 std::string canonical_keywords(std::string_view raw_query);
 
+/// The same, written into `out` (its capacity is reused): the per-query
+/// form for hot paths.  `raw_query` may view `out`.
+void canonical_keywords(std::string_view raw_query, std::string& out);
+
 }  // namespace p2pgen::gnutella

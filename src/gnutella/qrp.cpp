@@ -75,6 +75,22 @@ bool QrpTable::might_match(std::string_view query) const {
   return any && all;
 }
 
+void QrpTable::keyword_hashes(std::string_view query,
+                              std::vector<std::uint32_t>& out) {
+  out.clear();
+  for_each_word(query, [&out](std::string_view word) {
+    out.push_back(hash_keyword(word, 32));
+  });
+}
+
+bool QrpTable::contains_all(std::span<const std::uint32_t> hashes) const {
+  // hash_keyword(w, bits) is the top `bits` bits of hash_keyword(w, 32).
+  for (const std::uint32_t hash : hashes) {
+    if (!test(hash >> (32 - log2_size_))) return false;
+  }
+  return !hashes.empty();
+}
+
 void QrpTable::merge(const QrpTable& other) {
   if (other.log2_size_ != log2_size_) {
     throw std::invalid_argument("QrpTable: size mismatch in merge");

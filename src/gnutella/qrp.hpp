@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,6 +41,16 @@ class QrpTable {
   /// True iff EVERY keyword of `query` hits the table (QRP forwards only
   /// on full conjunction).  An empty keyword set never matches.
   bool might_match(std::string_view query) const;
+
+  /// The full-width (32-bit) hash of every keyword of `query`, in order,
+  /// written into `out`: one tokenization serves tables of any size.
+  static void keyword_hashes(std::string_view query,
+                             std::vector<std::uint32_t>& out);
+
+  /// might_match() on pre-hashed keywords: true iff `hashes` is non-empty
+  /// and each one's slot in this table is set.  For any query,
+  /// contains_all(keyword_hashes(query)) == might_match(query).
+  bool contains_all(std::span<const std::uint32_t> hashes) const;
 
   /// Bitwise OR of another table (ultrapeers aggregate leaf tables).
   /// Requires equal sizes.

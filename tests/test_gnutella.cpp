@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "gnutella/codec.hpp"
@@ -66,6 +67,39 @@ TEST(CanonicalKeywords, NormalizesCaseOrderAndDuplicates) {
   EXPECT_EQ(canonical_keywords("  "), "");
   EXPECT_EQ(canonical_keywords("\tmixed\nwhitespace  ok"),
             "mixed ok whitespace");
+}
+
+TEST(CanonicalKeywords, PinnedOnEdgeCases) {
+  // Outputs of the locale-based (std::isspace/std::tolower, "C" locale)
+  // implementation, pinned byte for byte.
+  EXPECT_EQ(canonical_keywords("a\tb\nc\vd\fe\rf g"), "a b c d e f g");
+  EXPECT_EQ(canonical_keywords("\t\n\v\f\r"), "");
+  EXPECT_EQ(canonical_keywords(""), "");
+  EXPECT_EQ(canonical_keywords("  lead trail  "), "lead trail");
+  EXPECT_EQ(canonical_keywords("MiXeD mixed MIXED Case cASE"), "case mixed");
+  EXPECT_EQ(canonical_keywords("zeta alpha zeta beta alpha"),
+            "alpha beta zeta");
+  // Bytes >= 0x80 are neither lower-cased nor separators, and sort after
+  // ASCII (unsigned byte order).
+  EXPECT_EQ(canonical_keywords("caf\xc3\xa9 CAF\xc3\x89 \xff\xfe abc \x80"),
+            "abc caf\xc3\x89 caf\xc3\xa9 \x80 \xff\xfe");
+  EXPECT_EQ(canonical_keywords("Z a \xe2\x82\xac z A"), "a z \xe2\x82\xac");
+  EXPECT_EQ(canonical_keywords("\xa0nbsp\xa0 x\x85y"),
+            "x\x85y \xa0nbsp\xa0");
+  // Other control bytes are word characters.
+  EXPECT_EQ(canonical_keywords("a\x1f" "b \x7f" "c"), "a\x1f" "b \x7f" "c");
+}
+
+TEST(CanonicalKeywords, OutParameterFormMatchesAndReusesTheString) {
+  std::string out = "stale contents that must go";
+  for (const char* query :
+       {"Hello World", "", "b a b", "\tQ\r", "caf\xc3\xa9 CAFE cafe"}) {
+    canonical_keywords(query, out);
+    EXPECT_EQ(out, canonical_keywords(query)) << query;
+  }
+  out = "World hello WORLD";
+  canonical_keywords(out, out);  // the input may view the output
+  EXPECT_EQ(out, "hello world");
 }
 
 TEST(CanonicalKeywords, PaperIdentitySemantics) {

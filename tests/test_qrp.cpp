@@ -3,6 +3,12 @@
 // (paper Section 3.1).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "behavior/trace_simulation.hpp"
 #include "gnutella/codec.hpp"
 #include "gnutella/qrp.hpp"
@@ -121,6 +127,36 @@ TEST(QrpTable, TableSmallerThanOneWordRoundTrips) {
   QrpTable merged(5);
   merged.merge(restored);
   EXPECT_DOUBLE_EQ(merged.fill_ratio(), table.fill_ratio());
+}
+
+TEST(QrpTable, PreHashedKeywordsMatchExactlyLikeMightMatch) {
+  // One tokenization serves every table size: contains_all on the
+  // full-width hashes must agree with might_match query by query.
+  const char* vocabulary[] = {"free", "MUSIC", "mp3", "madonna", "live",
+                              "video", "x", "Linux", "iso", "2004"};
+  std::mt19937 gen(20040315);
+  std::vector<std::string> queries = {"", "   ", "\t\n", "free", "FREE mp3"};
+  for (int q = 0; q < 200; ++q) {
+    std::string query;
+    const int words = static_cast<int>(gen() % 4);
+    for (int w = 0; w < words; ++w) {
+      query += (gen() % 2 == 0) ? " " : "\t ";
+      query += vocabulary[gen() % std::size(vocabulary)];
+    }
+    queries.push_back(query);
+  }
+  std::vector<std::uint32_t> hashes;
+  for (const unsigned log2 : {1u, 5u, 8u, 12u, 16u, 24u}) {
+    QrpTable table(log2);
+    for (int k = 0; k < 4; ++k) {
+      table.insert_keyword(vocabulary[gen() % std::size(vocabulary)]);
+    }
+    for (const auto& query : queries) {
+      QrpTable::keyword_hashes(query, hashes);
+      EXPECT_EQ(table.contains_all(hashes), table.might_match(query))
+          << "log2 " << log2 << " query '" << query << "'";
+    }
+  }
 }
 
 TEST(QrpTable, RejectsBadSize) {

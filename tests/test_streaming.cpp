@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/dataset.hpp"
@@ -186,7 +187,7 @@ TEST(Streaming, MatchesMaterializedOnFaultedMultiShardSpoolAtAnyThreadCount) {
     EXPECT_EQ(got.duration_moments.count(), got.duration_sketch.count());
     EXPECT_GT(got.duration_sketch.count(), 0u);
     // Pass-shape counters that do not depend on the thread count must
-    // not either (wave count legitimately does).
+    // not either (the decoded-segment high-water mark legitimately does).
     if (threads == 1) {
       first_stats = got.streaming;
     } else {
@@ -321,10 +322,71 @@ TEST(Streaming, InteriorSegmentDamageIsAHardErrorLikeReadSpool) {
   truncate_file(segments[segments.size() / 2], 5);
 
   EXPECT_THROW(trace::read_spool(dir), trace::TraceIoError);
-  EXPECT_THROW(
-      analysis::analyze_spools({dir}, geo::GeoIpDatabase::synthetic()),
-      trace::TraceIoError);
+  // With decoder threads the damaged segment may be decoded ahead of the
+  // consumer: its error must still surface (and every thread be joined)
+  // instead of hanging or being lost.
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    analysis::StreamingOptions options;
+    options.threads = threads;
+    EXPECT_THROW(analysis::analyze_spools(
+                     {dir}, geo::GeoIpDatabase::synthetic(), options),
+                 trace::TraceIoError);
+  }
   fs::remove_all(dir);
+}
+
+TEST(Streaming, MoreThreadsThanSegmentsMatchesReadSpool) {
+  const std::string dir = fresh_dir("few_segments");
+  const trace::Trace trace = synthetic_trace(64, 13);
+  spool_trace(trace, dir, (trace.size() + 2) / 3);
+  ASSERT_EQ(segment_paths(dir).size(), 3u);
+  const Materialized want = materialize(trace::read_spool(dir));
+
+  analysis::StreamingOptions options;
+  options.threads = 8;  // seven decoders, at most two segments claimable
+  const auto got = analysis::analyze_spools(
+      {dir}, geo::GeoIpDatabase::synthetic(), options);
+  expect_streaming_matches(got, want);
+  EXPECT_EQ(got.streaming.segments_read, 3u);
+  EXPECT_LE(got.streaming.max_decoded_segments, 2u);
+  fs::remove_all(dir);
+}
+
+TEST(Streaming, DecodedSegmentsStayWithinTwoPerShard) {
+  // Three shards of ~20 small segments each, interleaved in time, so the
+  // merge hops between shards and every queue refills many times.
+  constexpr std::size_t kShards = 3;
+  const std::string root = fresh_dir("many_segments");
+  std::vector<std::string> dirs;
+  std::vector<trace::Trace> loaded;
+  for (std::size_t k = 0; k < kShards; ++k) {
+    dirs.push_back(root + "/shard-" + std::to_string(k));
+    spool_trace(synthetic_trace(64, 17 + k), dirs.back(), 16);
+    ASSERT_GT(segment_paths(dirs.back()).size(), 10u);
+    loaded.push_back(trace::read_spool(dirs.back()));
+  }
+  const Materialized want = materialize(trace::merge_traces(std::move(loaded)));
+
+  std::uint64_t segments = 0;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    analysis::StreamingOptions options;
+    options.threads = threads;
+    const auto got = analysis::analyze_spools(
+        dirs, geo::GeoIpDatabase::synthetic(), options);
+    expect_streaming_matches(got, want);
+    EXPECT_LE(got.streaming.max_decoded_segments, 2 * kShards);
+    if (threads == 1) {
+      // Inline decode frees each segment before taking the next.
+      EXPECT_EQ(got.streaming.max_decoded_segments, kShards);
+      segments = got.streaming.segments_read;
+    } else {
+      EXPECT_GE(got.streaming.max_decoded_segments, kShards);
+      EXPECT_EQ(got.streaming.segments_read, segments);
+    }
+  }
+  fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------
