@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <span>
 #include <sstream>
 
-#include "behavior/sharded_simulation.hpp"
+#include "behavior/checkpoint.hpp"
 #include "obs/metrics.hpp"
-#include "trace/trace_io.hpp"
 #include "util/thread_pool.hpp"
 
 namespace p2pgen::bench {
@@ -27,27 +27,43 @@ void write_metrics_at_exit() {
   if (!out) std::cerr << "[bench] failed writing metrics to " << path << "\n";
 }
 
-// The shard cache lives in the working directory across bench runs, so a
-// truncated write (killed bench, full disk) or a stale file must not
-// silently skew every table.  Each cached shard carries a sidecar with
-// its trace::binary_digest; a shard only counts as cached when the
-// re-computed digest of the loaded trace matches the sidecar.
-std::string digest_sidecar_path(const std::string& path) {
-  return path + ".digest";
-}
-
-void write_digest_sidecar(const trace::Trace& trace, const std::string& path) {
-  std::ofstream out(digest_sidecar_path(path));
-  out << std::hex << trace::binary_digest(trace) << "\n";
-}
-
-bool digest_sidecar_matches(const trace::Trace& trace,
-                            const std::string& path) {
-  std::ifstream in(digest_sidecar_path(path));
-  if (!in) return false;
-  std::uint64_t expected = 0;
-  in >> std::hex >> expected;
-  return in && trace::binary_digest(trace) == expected;
+// The standard trace is cached as a checkpoint directory in the working
+// directory, named by its run identity (model, every trace-shaping config
+// field and the shard count), so differently-configured traces never
+// alias.  The MANIFEST identity and each spool frame's CRC stand in for
+// a digest: a checkpoint that fails to load is removed and simulated
+// again, and a half-written one (a killed bench) resumes.
+trace::Trace cached_trace(const core::WorkloadModel& model,
+                          const behavior::TraceSimulationConfig& config,
+                          const BenchScale& scale) {
+  std::ostringstream name;
+  name << "p2pgen_bench_ckpt_" << std::hex
+       << behavior::run_identity_digest(model, config, scale.shards);
+  behavior::DurabilityConfig durability;
+  durability.dir = name.str();
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      const bool cached =
+          behavior::checkpoint_exists(durability.dir) &&
+          behavior::read_checkpoint_status(durability.dir).complete;
+      std::cerr << "[bench] "
+                << (cached ? "loading cached checkpoint "
+                           : "simulating into checkpoint ")
+                << durability.dir << "\n";
+      return behavior::simulate_trace_durable(model, config, scale.shards,
+                                              scale.threads, durability);
+    } catch (const std::exception& e) {
+      std::cerr << "[bench] checkpoint " << durability.dir
+                << " failed to load (" << e.what() << "); "
+                << (attempt == 0 ? "removing it and simulating again"
+                                 : "simulating without a cache")
+                << "\n";
+      std::error_code ignored;
+      std::filesystem::remove_all(durability.dir, ignored);
+    }
+  }
+  return behavior::simulate_trace_sharded(model, config, scale.shards,
+                                          scale.threads);
 }
 
 }  // namespace
@@ -91,83 +107,20 @@ behavior::TraceSimulationConfig bench_simulation_config(
   return config;
 }
 
-std::string bench_shard_cache_path(const BenchScale& scale, unsigned shard) {
-  const behavior::TraceSimulationConfig config = bench_simulation_config(scale);
-  std::ostringstream os;
-  // The cache key embeds simulation_config_digest, which covers EVERY
-  // trace-shaping field — client mix, replenish and degradation knobs,
-  // scenario schedules included — not just the fault block.  A bench run
-  // under any config variation can therefore never pick up a stale shard
-  // cached under a different one (the bug class PR 2 fixed for faults and
-  // shard counts, closed for all remaining fields).
-  os << "p2pgen_bench_shard_" << scale.days << "d_" << scale.arrival_rate
-     << "r_w" << config.warmup_days << "_" << scale.seed << "_c" << std::hex
-     << behavior::simulation_config_digest(config) << std::dec << "_s" << shard
-     << "of" << scale.shards << ".bin";
-  return os.str();
-}
-
 const trace::Trace& bench_trace() {
   static const trace::Trace trace = [] {
     const BenchScale scale = bench_scale();
     const behavior::TraceSimulationConfig config =
         bench_simulation_config(scale);
-    const bool no_cache = std::getenv("P2PGEN_NO_CACHE") != nullptr;
-
-    std::vector<trace::Trace> shards(scale.shards);
-    std::vector<unsigned> missing;
-    for (unsigned k = 0; k < scale.shards; ++k) {
-      const std::string path = bench_shard_cache_path(scale, k);
-      if (!no_cache) {
-        try {
-          trace::Trace cached = trace::load_binary(path);
-          if (digest_sidecar_matches(cached, path)) {
-            shards[k] = std::move(cached);
-            std::cerr << "[bench] loaded cached shard " << k << " ("
-                      << shards[k].size() << " events) from " << path << "\n";
-            continue;
-          }
-          std::cerr << "[bench] cached shard " << k
-                    << " failed digest validation, regenerating: " << path
-                    << "\n";
-        } catch (const std::exception&) {
-          // fall through to simulation
-        }
-      }
-      missing.push_back(k);
-    }
-
-    if (!missing.empty()) {
-      std::cerr << "[bench] simulating " << missing.size() << " shard(s) of "
-                << scale.days << " day(s) each on " << scale.threads
-                << " thread(s) (master seed " << scale.seed << ")...\n";
-      const core::WorkloadModel model = core::WorkloadModel::paper_default();
-      util::ThreadPool pool(std::min<std::size_t>(scale.threads,
-                                                  missing.size()));
-      pool.run_indexed(missing.size(), [&](std::size_t i) {
-        const unsigned k = missing[i];
-        shards[k] = behavior::simulate_shard(model, config, k);
-        if (!no_cache) {
-          try {
-            const std::string path = bench_shard_cache_path(scale, k);
-            trace::save_binary(shards[k], path);
-            write_digest_sidecar(shards[k], path);
-          } catch (const std::exception& e) {
-            std::cerr << "[bench] shard cache write failed: " << e.what()
-                      << "\n";
-          }
-        }
-      });
-      for (const unsigned k : missing) {
-        std::cerr << "[bench] simulated shard " << k << " ("
-                  << shards[k].size() << " events)\n";
-      }
-      util::publish_pool_stats("pool.bench_sim", pool.stats());
-    }
-
-    trace::Trace merged = trace::merge_traces(std::move(shards));
+    const core::WorkloadModel model = core::WorkloadModel::paper_default();
+    trace::Trace merged =
+        std::getenv("P2PGEN_NO_CACHE") != nullptr
+            ? behavior::simulate_trace_sharded(model, config, scale.shards,
+                                               scale.threads)
+            : cached_trace(model, config, scale);
     std::cerr << "[bench] standard trace: " << merged.size() << " events, "
-              << scale.shards << " shard(s)\n";
+              << scale.shards << " shard(s) of " << scale.days
+              << " day(s), master seed " << scale.seed << "\n";
     return merged;
   }();
   return trace;

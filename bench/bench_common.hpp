@@ -3,12 +3,12 @@
 // Every bench regenerates one table or figure of the paper from the same
 // simulated measurement trace (DESIGN.md §3).  The trace is produced once
 // per configuration — as P2PGEN_SHARDS independently-seeded replica
-// shards (DESIGN.md §7), each cached on disk under a key that names every
-// input that shapes it (days, rate, seed, shard index, shard count, and
-// the fault-config digest), so traces from different configurations are
-// never silently reused.  Missing shards are simulated concurrently on a
-// work-stealing pool; the merged trace is byte-identical for any thread
-// count.  Scale knobs:
+// shards (DESIGN.md §7) — and cached as a durable checkpoint (DESIGN.md
+// §9) in the working directory, "p2pgen_bench_ckpt_<run identity>".  The
+// identity names the model and every input that shapes the trace, so
+// traces from different configurations are never silently reused; a
+// checkpoint that fails to load is simulated again.  The merged trace is
+// byte-identical for any thread count.  Scale knobs:
 //   P2PGEN_DAYS=<n>    — simulated days per shard (default 2)
 //   P2PGEN_FULL=1      — paper scale: 40 days (overrides P2PGEN_DAYS)
 //   P2PGEN_SHARDS=<n>  — replica shards merged into the trace (default 1)
@@ -48,12 +48,8 @@ BenchScale bench_scale();
 behavior::TraceSimulationConfig bench_simulation_config(
     const BenchScale& scale);
 
-/// On-disk cache file of one shard of the standard trace.  The key names
-/// days, arrival rate, warmup, master seed, fault-config digest, shard
-/// index AND shard count, so differently-configured traces never alias.
-std::string bench_shard_cache_path(const BenchScale& scale, unsigned shard);
-
-/// Simulates (or loads from cache) the standard measurement trace.
+/// Simulates (or loads from its cached checkpoint) the standard
+/// measurement trace.
 const trace::Trace& bench_trace();
 
 /// The standard trace as a filtered dataset, plus the filter report.

@@ -1,53 +1,69 @@
-// p2pgen trace inspector — CLI over measurement trace files.
-//
-//   trace_inspector simulate <out.bin> [days] [seed]   run the measurement
-//                                                      simulation, save trace
-//   trace_inspector stats <trace.bin>                  Table-1 style counters
-//   trace_inspector filters <trace.bin>                Table-2 filter report
-//   trace_inspector sessions <trace.bin> [n]           longest n sessions
-//   trace_inspector figures <trace.bin> <dir>          export figure CSVs + gnuplot
-//   trace_inspector csv <trace.bin>                    dump as CSV to stdout
+// p2pgen trace inspector — CLI over measurement traces (commands in
+// kUsage).  `simulate` runs the measurement simulation into a spool
+// directory (trace/spool.hpp); the others read one back: Table-1 style
+// counters, the Table-2 filter report, the longest sessions, figure CSVs
+// + gnuplot, or a CSV dump.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <iostream>
 
 #include "analysis/filters.hpp"
 #include "analysis/report.hpp"
 #include "behavior/trace_simulation.hpp"
 #include "geo/geoip.hpp"
+#include "trace/spool.hpp"
+#include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
 
 namespace {
 
 using namespace p2pgen;
 
-int usage() {
-  std::cerr
-      << "usage:\n"
-         "  trace_inspector simulate <out.bin> [days] [seed]\n"
-         "  trace_inspector stats <trace.bin>\n"
-         "  trace_inspector filters <trace.bin>\n"
-         "  trace_inspector sessions <trace.bin> [n]\n"
-         "  trace_inspector figures <trace.bin> <dir>\n"
-         "  trace_inspector csv <trace.bin>\n";
+constexpr const char* kUsage =
+    "usage:\n"
+    "  trace_inspector simulate <dir> [days] [seed]\n"
+    "  trace_inspector stats <dir>\n"
+    "  trace_inspector filters <dir>\n"
+    "  trace_inspector sessions <dir> [n]\n"
+    "  trace_inspector figures <dir> <out-dir>\n"
+    "  trace_inspector csv <dir>\n";
+
+int usage_error(const std::string& problem) {
+  std::cerr << "trace_inspector: " << problem << "\n" << kUsage;
   return 2;
 }
 
-int cmd_simulate(const std::string& path, double days, std::uint64_t seed) {
+// The whole of `text` as a T: false on an empty string, a leftover
+// character or an out-of-range value.
+template <typename T>
+bool parse_whole(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+int cmd_simulate(const std::string& dir, double days, std::uint64_t seed) {
   behavior::TraceSimulationConfig config;
   config.duration_days = days;
   config.seed = seed;
-  trace::BinaryTraceWriter writer(path);
+  // Start a fresh spool, as a file writer truncates its file: segments
+  // left by an earlier run would otherwise be extended, not replaced.
+  for (const auto& segment : trace::spool_segment_paths(dir)) {
+    std::filesystem::remove(segment);
+  }
+  trace::SpoolWriter writer(dir);
   behavior::TraceSimulation sim(core::WorkloadModel::paper_default(), config,
                                 writer);
   std::cerr << "simulating " << days << " day(s), seed " << seed << "...\n";
   sim.run();
   writer.close();
-  std::cerr << "wrote " << writer.events_written() << " events to " << path
-            << "\n";
+  std::cerr << "wrote " << writer.records() << " events to " << dir << "\n";
   // Session-teardown histogram straight from the node's per-reason
-  // counters — no second pass over the trace file needed.
+  // counters — no second pass over the spool needed.
   const auto& ends = sim.node().session_ends();
   const std::uint64_t total =
       std::max<std::uint64_t>(1, ends[0] + ends[1] + ends[2] + ends[3]);
@@ -61,6 +77,22 @@ int cmd_simulate(const std::string& path, double days, std::uint64_t seed) {
               << "%)\n";
   }
   return 0;
+}
+
+// Reads the spool under `dir`.  A torn tail (a writer killed mid-frame)
+// is dropped with a warning; a path that holds no spool is an error.
+trace::Trace load_spool(const std::string& dir) {
+  if (!std::filesystem::is_directory(dir) ||
+      trace::spool_segment_paths(dir).empty()) {
+    throw std::runtime_error(dir + " is not a spool directory");
+  }
+  trace::SpoolRecoveryReport report;
+  trace::Trace trace = trace::read_spool(dir, &report);
+  if (report.torn) {
+    std::cerr << "warning: dropped a torn tail of " << report.bytes_truncated
+              << " byte(s) from " << report.bad_segment << "\n";
+  }
+  return trace;
 }
 
 int cmd_stats(const trace::Trace& trace) {
@@ -121,26 +153,43 @@ int cmd_sessions(const trace::Trace& trace, std::size_t n) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return usage();
+  if (argc < 3) {
+    return usage_error(argc < 2 ? "missing the command"
+                                : "missing the spool directory");
+  }
   const std::string command = argv[1];
   const std::string path = argv[2];
   try {
     if (command == "simulate") {
-      const double days = argc > 3 ? std::atof(argv[3]) : 0.5;
-      const std::uint64_t seed =
-          argc > 4 ? static_cast<std::uint64_t>(std::atoll(argv[4])) : 20040315;
+      double days = 0.5;
+      std::uint64_t seed = 20040315;
+      if (argc > 3 && !(parse_whole(argv[3], days) && std::isfinite(days) &&
+                        days > 0.0)) {
+        return usage_error("days must be a positive number");
+      }
+      if (argc > 4 && !parse_whole(argv[4], seed)) {
+        return usage_error("seed must be a non-negative integer");
+      }
       return cmd_simulate(path, days, seed);
     }
-    const trace::Trace trace = trace::load_binary(path);
+    if (command != "stats" && command != "filters" && command != "sessions" &&
+        command != "figures" && command != "csv") {
+      return usage_error("unknown command " + command);
+    }
+    std::uint64_t n = 20;
+    if (command == "sessions" && argc > 3 && !parse_whole(argv[3], n)) {
+      return usage_error("n must be a non-negative integer");
+    }
+    if (command == "figures" && argc < 4) {
+      return usage_error("missing the output directory");
+    }
+    const trace::Trace trace = load_spool(path);
     if (command == "stats") return cmd_stats(trace);
     if (command == "filters") return cmd_filters(trace);
     if (command == "sessions") {
-      return cmd_sessions(trace,
-                          argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3]))
-                                   : 20);
+      return cmd_sessions(trace, static_cast<std::size_t>(n));
     }
     if (command == "figures") {
-      if (argc < 4) return usage();
       auto dataset =
           analysis::build_dataset(trace, geo::GeoIpDatabase::synthetic());
       analysis::apply_filters(dataset);
@@ -149,13 +198,10 @@ int main(int argc, char** argv) {
                 << inventory.directory << "\n";
       return 0;
     }
-    if (command == "csv") {
-      trace::write_csv(trace, std::cout);
-      return 0;
-    }
+    trace::write_csv(trace, std::cout);
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  return usage();
 }

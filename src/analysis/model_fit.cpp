@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <span>
 
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace p2pgen::analysis {
@@ -15,7 +18,7 @@ using stats::BimodalLogNormalParetoFit;
 using stats::BimodalWeibullLogNormalFit;
 
 /// Can a body/tail split be fit on this sample?
-bool splittable(const std::vector<double>& sample, double split,
+bool splittable(std::span<const double> sample, double split,
                 std::size_t min_samples) {
   if (sample.size() < min_samples) return false;
   std::size_t body = 0;
@@ -41,6 +44,7 @@ AppendixFits fit_appendix_tables(const SessionMeasures& measures,
     }
   }
 
+  std::vector<double> positive_gaps;  // a Table A.3 cell without zero gaps
   for (std::size_t r = 0; r < kRegions; ++r) {
     for (std::size_t p = 0; p < core::kDayPeriodCount; ++p) {
       // Table A.1.
@@ -57,10 +61,21 @@ AppendixFits fit_appendix_tables(const SessionMeasures& measures,
                                      ? splits.first_peak_split
                                      : splits.first_nonpeak_split;
       for (std::size_t c = 0; c < core::kFirstQueryClassCount; ++c) {
-        const auto& sample = measures.first_query_by_period_class[r][p][c];
+        std::span<const double> sample =
+            measures.first_query_by_period_class[r][p][c];
+        const auto nonpositive = static_cast<std::uint64_t>(std::count_if(
+            sample.begin(), sample.end(), [](double x) { return x <= 0.0; }));
+        if (nonpositive > 0) {
+          positive_gaps.clear();
+          std::copy_if(sample.begin(), sample.end(),
+                       std::back_inserter(positive_gaps),
+                       [](double x) { return x > 0.0; });
+          sample = positive_gaps;
+        }
         if (splittable(sample, first_split, min_samples)) {
           fits.first_query[r][p][c] =
               stats::fit_bimodal_weibull_lognormal(sample, first_split);
+          fits.first_query_nonpositive += nonpositive;
         } else {
           fits.first_query[r][p][c] = BimodalWeibullLogNormalFit{};
         }
@@ -89,6 +104,11 @@ AppendixFits fit_appendix_tables(const SessionMeasures& measures,
         }
       }
     }
+  }
+  if (fits.first_query_nonpositive > 0) {
+    obs::Registry::global()
+        .counter("fit.first_query_nonpositive")
+        .add(fits.first_query_nonpositive);
   }
   return fits;
 }

@@ -34,6 +34,11 @@ struct AppendixFits {
              kRegions>
       first_query{};
 
+  /// First-query gaps <= 0 (a query in the same tick as its connection)
+  /// left out of the Table A.3 cells that were fit: the Weibull body has
+  /// no mass at 0 (DESIGN.md §4).
+  std::uint64_t first_query_nonpositive = 0;
+
   /// Table A.4 — interarrival, [region][period].
   std::array<std::array<stats::BimodalLogNormalParetoFit,
                         core::kDayPeriodCount>,
@@ -60,6 +65,9 @@ struct FitSplits {
 /// Fits every Appendix table from the measured samples.  Conditions with
 /// fewer than `min_samples` observations fall back to the corresponding
 /// paper_default() slot (recorded as sigma = 0 sentinel in the fit).
+/// When first_query_nonpositive comes out non-zero it is also added to
+/// the "fit.first_query_nonpositive" counter; standing runs have none,
+/// so the counter does not exist there.
 AppendixFits fit_appendix_tables(const SessionMeasures& measures,
                                  const FitSplits& splits = {},
                                  std::size_t min_samples = 50);

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -77,6 +78,10 @@ struct Manifest {
   std::uint64_t identity = 0;
   unsigned n_shards = 0;
   std::vector<char> done;  // done[k] != 0: shard k's spool is complete
+  /// Records in a done shard's spool ("records k n"), so a spool cut
+  /// exactly on a frame boundary cannot pass as a shorter complete shard.
+  /// Absent (nullopt) in manifests written before the line existed.
+  std::vector<std::optional<std::uint64_t>> records;
   std::string stop_reason;  // "" unless the run checkpointed-and-stopped
   std::string stop_detail;  // single-line human-readable failure site
 
@@ -87,6 +92,9 @@ struct Manifest {
     out << "shards " << n_shards << "\n";
     for (unsigned k = 0; k < n_shards; ++k) {
       if (done[k]) out << "done " << k << "\n";
+      if (done[k] && records[k]) {
+        out << "records " << k << " " << *records[k] << "\n";
+      }
     }
     if (!stop_reason.empty()) {
       out << "stopped " << stop_reason << "\n";
@@ -144,6 +152,7 @@ struct Manifest {
       } else if (key == "shards") {
         number(key, m.n_shards);
         m.done.assign(m.n_shards, 0);
+        m.records.assign(m.n_shards, std::nullopt);
         have_shards = true;
       } else if (key == "done") {
         unsigned k = 0;
@@ -153,6 +162,16 @@ struct Manifest {
                           "shards " + std::to_string(m.n_shards));
         }
         m.done[k] = 1;
+      } else if (key == "records") {
+        unsigned k = 0;
+        std::uint64_t n = 0;
+        number(key, k);
+        number(key, n);
+        if (k >= m.records.size()) {
+          throw malformed("records " + std::to_string(k) + " is not below " +
+                          "shards " + std::to_string(m.n_shards));
+        }
+        m.records[k] = n;
       } else if (key == "stopped") {
         f >> m.stop_reason;
       } else if (key == "stopped_detail") {
@@ -522,6 +541,7 @@ void run_durable_shards(const core::WorkloadModel& model,
     manifest.identity = identity;
     manifest.n_shards = n_shards;
     manifest.done.assign(n_shards, 0);
+    manifest.records.assign(n_shards, std::nullopt);
     manifest.write(durability.dir);
     ++summary.checkpoints_written;
   }
@@ -601,6 +621,14 @@ void run_durable_shards(const core::WorkloadModel& model,
               throw std::runtime_error(
                   "checkpoint: completed shard " + std::to_string(index) +
                   " has a torn spool — completed data should never tear");
+            }
+            if (manifest.records[k] &&
+                *manifest.records[k] != (*shards_out)[k].size()) {
+              throw std::runtime_error(
+                  "checkpoint: completed shard " + std::to_string(index) +
+                  " holds " + std::to_string((*shards_out)[k].size()) +
+                  " records, its MANIFEST recorded " +
+                  std::to_string(*manifest.records[k]));
             }
             shard_stats[k].events = (*shards_out)[k].size();
             std::lock_guard<std::mutex> lock(manifest_mutex);
@@ -728,6 +756,7 @@ void run_durable_shards(const core::WorkloadModel& model,
       std::lock_guard<std::mutex> lock(manifest_mutex);
       summary.events_replayed += sink.replayed();
       manifest.done[k] = 1;
+      manifest.records[k] = writer->records();
       manifest.write(durability.dir);
       ++summary.checkpoints_written;
     } catch (const trace::SpoolWriteError& e) {

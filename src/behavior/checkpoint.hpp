@@ -5,8 +5,10 @@
 // determinism contract (sharded_simulation.hpp): every shard is a pure
 // function of (model, config, shard_index), so the durable trace spool
 // (trace/spool.hpp) acts as a redo log.  Each shard streams its events
-// into an fsync'd per-shard spool; a MANIFEST records the run identity
-// and which shards finished.  After a crash — SIGKILL included — resume
+// into an fsync'd per-shard spool; a MANIFEST records the run identity,
+// which shards finished and how many records each finished spool holds
+// (a done spool that reads back shorter is refused, not loaded).  After
+// a crash — SIGKILL included — resume
 //
 //   * loads finished shards wholly from their spools (no re-simulation),
 //   * re-simulates unfinished shards from scratch, digest-verifying the

@@ -16,8 +16,9 @@
 // a hard error, exactly like the strict trace reader.
 //
 // The payload of each frame is the single-record binary encoding of one
-// TraceEvent (trace_io's append_event_binary), so a spool is a durable,
-// per-record-checksummed form of the same stream save_binary writes.
+// TraceEvent (trace_io's append_event_binary), so a spool holds the same
+// records, in the same order, as the byte stream write_binary emits and
+// binary_digest hashes.  It is the repo's one on-disk trace format.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,13 @@
 // p2pgen — trace serialization.
 //
-// Two formats:
-//   * a compact binary format ("P2PT" magic, version 1) with exact
-//     round-trip semantics — used to persist simulated traces and by the
-//     streaming BinaryTraceWriter sink for paper-scale runs that should
-//     not be held in memory;
+//   * The binary record codec: append_event_binary encodes one event,
+//     decode_event_binary decodes it back exactly.  On disk a trace is
+//     always a spool directory (trace/spool.hpp), whose CRC-checked
+//     frames each carry one such record.
+//   * The whole-trace byte stream: a "P2PT" header (magic, version 2)
+//     followed by every record in order.  write_binary emits it and
+//     binary_digest hashes it; it is the byte-identity yardstick of the
+//     determinism tests, never read back.
 //   * CSV export for ad-hoc inspection (examples/trace_inspector).
 #pragma once
 
@@ -12,7 +15,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
-#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,37 +25,32 @@
 namespace p2pgen::trace {
 
 /// Thrown on truncated or corrupt trace input.  Carries the byte offset
-/// at which the malformation was detected, so a damaged multi-gigabyte
-/// trace file can be diagnosed (and salvaged up to the offset) instead of
-/// failing with a context-free error or silently reading a partial trace.
+/// at which the malformation was detected, so a damaged spool can be
+/// diagnosed (and salvaged around the offset) instead of failing with a
+/// context-free error or silently reading a partial trace.
 class TraceIoError : public std::runtime_error {
  public:
   TraceIoError(const std::string& what, std::uint64_t byte_offset)
       : std::runtime_error(what), byte_offset_(byte_offset) {}
 
-  /// Offset (bytes from the start of the stream) of the failure.
+  /// Offset of the failure, in bytes from the start of the record or
+  /// spool segment being read.
   std::uint64_t byte_offset() const noexcept { return byte_offset_; }
 
  private:
   std::uint64_t byte_offset_;
 };
 
-/// Serializes a whole trace to a binary stream.  Throws std::runtime_error
-/// on stream failure.
+/// Serializes a whole trace to a binary stream: the header, then every
+/// record.  Throws std::runtime_error on stream failure.
 void write_binary(const Trace& trace, std::ostream& out);
 
-/// Reads a whole binary trace.  Throws TraceIoError (with the byte
-/// offset) on truncated or malformed input, std::runtime_error on other
-/// stream failure.  A stream that ends exactly on a record boundary is a
-/// clean EOF.
-Trace read_binary(std::istream& in);
-
-/// One quarantined byte range of a damaged stream.  Every recovery path
-/// in the repo — the spool salvage reader, the lenient trace reader and
-/// the checkpoint layer — accounts loss in this one shape, so byte
-/// offsets mean the same thing everywhere.
+/// One quarantined byte range of a damaged spool segment.  Every recovery
+/// path in the repo — the spool salvage reader and the checkpoint layer —
+/// accounts loss in this one shape, so byte offsets mean the same thing
+/// everywhere.
 struct SalvageRange {
-  std::string file;    ///< segment/file basename ("" for plain streams)
+  std::string file;    ///< segment basename
   unsigned shard = 0;  ///< filled in by multi-shard consumers
   std::uint64_t byte_begin = 0;   ///< offset of the first damaged byte
   std::uint64_t byte_end = 0;     ///< resync point (one past the damage)
@@ -92,18 +90,6 @@ struct SalvageReport {
   void merge_shard(SalvageReport&& other, unsigned shard);
 };
 
-/// Reads as much of a binary trace as is intact: the valid record prefix
-/// is returned and the torn/corrupt tail is described in `report` (one
-/// trailing SalvageRange) instead of thrown.  A damaged *header* is still
-/// a hard TraceIoError — a stream that does not even start as a trace has
-/// no salvageable prefix.  For a fully valid stream the result is
-/// identical to read_binary() and report->damaged() is false.
-Trace read_trace_lenient(std::istream& in, SalvageReport* report = nullptr);
-
-/// File-path convenience for read_trace_lenient.
-Trace load_trace_lenient(const std::string& path,
-                         SalvageReport* report = nullptr);
-
 /// Longest string field (user agent, query) a record may carry.  The
 /// decoder refuses longer ones, so the encoder refuses them too.
 inline constexpr std::uint32_t kMaxStringBytes = 1u << 20;
@@ -113,10 +99,10 @@ inline constexpr std::uint32_t kMaxStringBytes = 1u << 20;
 inline constexpr std::size_t kMaxRecordBytes = 41 + std::size_t{kMaxStringBytes};
 
 /// Appends the binary encoding of one event — exactly the record the
-/// stream format uses, without the file header — to `out`.  The one
-/// record encoder: write_binary, BinaryTraceWriter, binary_digest and
-/// the durable spool (trace/spool.hpp, which frames and checksums each
-/// record) all go through it.  Throws TraceIoError, leaving `out`
+/// stream format uses, without the stream header — to `out`.  The one
+/// record encoder: write_binary, binary_digest and the durable spool
+/// (trace/spool.hpp, which frames and checksums each record) all go
+/// through it.  Throws TraceIoError, leaving `out`
 /// untouched, when a string field exceeds kMaxStringBytes — a record the
 /// decoder would refuse is never written.
 void append_event_binary(const TraceEvent& event, std::string& out);
@@ -136,10 +122,6 @@ using util::kFnvOffsetBasis;
 /// beyond the one record.
 TraceEvent decode_event_binary(const std::uint8_t* data, std::size_t size);
 
-/// File-path conveniences.
-void save_binary(const Trace& trace, const std::string& path);
-Trace load_binary(const std::string& path);
-
 /// CSV export (one row per event, header included).
 void write_csv(const Trace& trace, std::ostream& out);
 
@@ -149,29 +131,5 @@ void write_csv(const Trace& trace, std::ostream& out);
 /// cheap byte-identity check used by the determinism tests and the
 /// parallel-scaling bench.
 std::uint64_t binary_digest(const Trace& trace);
-
-/// A TraceSink that streams events straight to a binary file.
-class BinaryTraceWriter : public TraceSink {
- public:
-  /// Opens `path` for writing and emits the header.  Throws on failure.
-  explicit BinaryTraceWriter(const std::string& path);
-  ~BinaryTraceWriter() override;
-
-  BinaryTraceWriter(const BinaryTraceWriter&) = delete;
-  BinaryTraceWriter& operator=(const BinaryTraceWriter&) = delete;
-
-  void on_event(const TraceEvent& event) override;
-
-  /// Flushes and closes; further on_event calls throw.  Called by the
-  /// destructor if not called explicitly.
-  void close();
-
-  std::uint64_t events_written() const noexcept { return events_written_; }
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-  std::uint64_t events_written_ = 0;
-};
 
 }  // namespace p2pgen::trace

@@ -112,6 +112,44 @@ TEST(Checkpoint, ResumeFromCompletedCheckpointLoadsWithoutResimulating) {
   fs::remove_all(dir);
 }
 
+TEST(Checkpoint, CompletedSpoolCutOnAFrameBoundaryIsRefused) {
+  // Every frame before the cut is intact, so only the record count the
+  // MANIFEST keeps for a done shard can tell the spool is short.
+  const auto model = core::WorkloadModel::paper_default();
+  const auto config = tiny_fault_config();
+  const std::string dir = fresh_dir("frame_cut");
+  behavior::DurabilityConfig durability;
+  durability.dir = dir;
+  behavior::simulate_trace_durable(model, config, 2, 2, durability);
+
+  const std::string shard1 = behavior::checkpoint_shard_dirs(dir, 2)[1];
+  const std::string segment = trace::spool_segment_paths(shard1).back();
+  std::uint64_t cut = trace::kSpoolHeaderBytes;
+  {
+    // Walk half the segment's [len][crc][payload] frames.
+    std::ifstream in(segment, std::ios::binary);
+    const auto size = fs::file_size(segment);
+    while (cut < size / 2) {
+      std::uint32_t len = 0;
+      in.seekg(static_cast<std::streamoff>(cut));
+      in.read(reinterpret_cast<char*>(&len), sizeof(len));
+      cut += 8 + len;
+    }
+  }
+  fs::resize_file(segment, cut);
+  EXPECT_FALSE(trace::scan_spool(shard1, false).report.torn);
+
+  try {
+    behavior::simulate_trace_durable(model, config, 2, 2, durability);
+    FAIL() << "a short completed spool was loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("MANIFEST recorded"),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
+}
+
 TEST(Checkpoint, ResumeWithoutACheckpointIsRefused) {
   const auto model = core::WorkloadModel::paper_default();
   behavior::DurabilityConfig durability;

@@ -3,13 +3,10 @@
 // (query forwarding + responders + GUID correlation).
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "analysis/correlations.hpp"
 #include "analysis/filters.hpp"
 #include "analysis/hitrate.hpp"
 #include "behavior/trace_simulation.hpp"
-#include "trace/trace_io.hpp"
 #include "stats/summary.hpp"
 
 namespace p2pgen {
@@ -140,18 +137,6 @@ TEST(HitRate, NoForwardingMeansNoHits) {
   analysis::apply_filters(ds);
   const auto report = analysis::hit_rate_report(ds);
   EXPECT_EQ(report.answered, 0u);
-}
-
-TEST(TraceV2, GuidHashSurvivesBinaryRoundTrip) {
-  trace::Trace t;
-  t.append(trace::SessionStart{0.0, 1, kNaIp, false, "X"});
-  t.append(trace::MessageEvent{1.0, 1, gnutella::MessageType::kQuery, 6, 1,
-                               "q", false, 0, 0, 0xDEADBEEF12345678ULL});
-  std::stringstream buffer;
-  trace::write_binary(t, buffer);
-  const auto loaded = trace::read_binary(buffer);
-  const auto& msg = std::get<trace::MessageEvent>(loaded.events()[1]);
-  EXPECT_EQ(msg.guid_hash, 0xDEADBEEF12345678ULL);
 }
 
 }  // namespace

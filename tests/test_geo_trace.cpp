@@ -2,15 +2,14 @@
 // binary/CSV serialization).
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <iterator>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geo/geoip.hpp"
 #include "stats/rng.hpp"
-#include "trace/spool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
 
@@ -123,110 +122,6 @@ TEST(Trace, StatsCountTable1Rows) {
   EXPECT_DOUBLE_EQ(stats.last_time, 80.0);
 }
 
-TEST(TraceIo, BinaryRoundTripPreservesEverything) {
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  const auto loaded = trace::read_binary(buffer);
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(trace::event_time(loaded.events()[i]),
-              trace::event_time(original.events()[i]));
-  }
-  // Spot-check full field preservation on one of each kind.
-  const auto& start = std::get<trace::SessionStart>(loaded.events()[0]);
-  EXPECT_EQ(start.user_agent, "LimeWire/3.8.10");
-  EXPECT_TRUE(start.ultrapeer);
-  EXPECT_EQ(start.ip, 0x18000001u);
-  const auto& msg = std::get<trace::MessageEvent>(loaded.events()[1]);
-  EXPECT_EQ(msg.query, "free music");
-  EXPECT_EQ(msg.hops, 1);
-  const auto& end = std::get<trace::SessionEnd>(loaded.events()[6]);
-  EXPECT_EQ(end.reason, trace::EndReason::kIdleProbe);
-}
-
-TEST(TraceIo, RejectsCorruptHeader) {
-  std::stringstream buffer;
-  buffer << "NOPE";
-  EXPECT_THROW(trace::read_binary(buffer), std::runtime_error);
-}
-
-TEST(TraceIo, RejectsTruncatedBody) {
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  std::string data = buffer.str();
-  data.resize(data.size() - 3);
-  std::stringstream cut(data);
-  EXPECT_THROW(trace::read_binary(cut), std::runtime_error);
-}
-
-TEST(TraceIo, TruncationAtEveryByteFailsCleanlyOrShortens) {
-  // Round-trip with truncation: cutting the stream at EVERY byte position
-  // must either parse as a valid shorter trace (cut exactly at a record
-  // boundary) or throw a TraceIoError whose offset points inside the file
-  // — never crash, never return garbage.
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  const std::string data = buffer.str();
-  std::size_t clean_cuts = 0;
-  std::size_t failed_cuts = 0;
-  for (std::size_t cut = 0; cut < data.size(); ++cut) {
-    std::stringstream in(data.substr(0, cut));
-    try {
-      const auto loaded = trace::read_binary(in);
-      ++clean_cuts;
-      EXPECT_LT(loaded.size(), original.size()) << "cut at " << cut;
-    } catch (const trace::TraceIoError& e) {
-      ++failed_cuts;
-      EXPECT_LE(e.byte_offset(), cut) << "cut at " << cut;
-      EXPECT_NE(std::string(e.what()).find("byte offset"), std::string::npos);
-    }
-  }
-  // Both outcomes occur: record boundaries read as shorter traces, cuts
-  // inside a record are diagnosed.
-  EXPECT_EQ(clean_cuts, original.size());  // one boundary per record
-  EXPECT_GT(failed_cuts, 0u);
-}
-
-TEST(TraceIo, UnknownRecordKindNamesTheOffset) {
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  std::string data = buffer.str();
-  data[8] = '\x7f';  // first record-kind byte (after 8-byte header)
-  std::stringstream in(data);
-  try {
-    trace::read_binary(in);
-    FAIL() << "corrupt record kind was accepted";
-  } catch (const trace::TraceIoError& e) {
-    EXPECT_EQ(e.byte_offset(), 8u);
-    EXPECT_NE(std::string(e.what()).find("unknown record kind"),
-              std::string::npos);
-  }
-}
-
-TEST(TraceIo, LoadBinaryPrefixesPathOnError) {
-  const std::string path = ::testing::TempDir() + "/p2pgen_trace_cut.bin";
-  const auto original = sample_trace();
-  std::stringstream buffer;
-  trace::write_binary(original, buffer);
-  std::string data = buffer.str();
-  data.resize(data.size() - 3);  // mid-record truncation
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(data.data(), static_cast<std::streamsize>(data.size()));
-  }
-  try {
-    trace::load_binary(path);
-    FAIL() << "truncated file was accepted";
-  } catch (const trace::TraceIoError& e) {
-    EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
-    EXPECT_GT(e.byte_offset(), 0u);
-  }
-}
-
 TEST(TraceIo, CsvHasHeaderAndOneRowPerEvent) {
   const auto t = sample_trace();
   std::stringstream out;
@@ -235,21 +130,6 @@ TEST(TraceIo, CsvHasHeaderAndOneRowPerEvent) {
   std::size_t rows = 0;
   while (std::getline(out, line)) ++rows;
   EXPECT_EQ(rows, t.size() + 1);
-}
-
-TEST(TraceIo, FileRoundTripViaWriterSink) {
-  const std::string path = ::testing::TempDir() + "/p2pgen_trace_test.bin";
-  const auto original = sample_trace();
-  {
-    trace::BinaryTraceWriter writer(path);
-    for (const auto& event : original.events()) writer.on_event(event);
-    writer.close();
-    EXPECT_EQ(writer.events_written(), original.size());
-    EXPECT_THROW(writer.on_event(original.events()[0]), std::logic_error);
-  }
-  const auto loaded = trace::load_binary(path);
-  EXPECT_EQ(loaded.size(), original.size());
-  EXPECT_EQ(loaded.stats().direct_connections, 2u);
 }
 
 // ------------------------------------------------------------ record codec
@@ -351,16 +231,6 @@ TEST(RecordCodec, StreamAndDigestAreHeaderThenRecords) {
   EXPECT_EQ(trace::binary_digest(t),
             trace::fnv1a_update(trace::kFnvOffsetBasis, expected.data(),
                                 expected.size()));
-
-  const std::string path = ::testing::TempDir() + "/p2pgen_codec_sink.bin";
-  {
-    trace::BinaryTraceWriter writer(path);
-    for (const auto& event : t.events()) writer.on_event(event);
-  }
-  std::ifstream in(path, std::ios::binary);
-  const std::string written((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  EXPECT_EQ(written, expected);
 }
 
 TEST(RecordCodec, RandomEventsRoundTripExactly) {
@@ -415,6 +285,79 @@ TEST(RecordCodec, RandomEventsRoundTripExactly) {
     const auto* data = reinterpret_cast<const std::uint8_t*>(buffer.data());
     ASSERT_EQ(trace::decode_event_binary(data, buffer.size()), event)
         << "event " << i;
+  }
+}
+
+// Malformed records.  A spool's CRC rejects damaged frames before they
+// reach the decoder, so these inputs are its only workout.
+
+/// Decodes `bytes` as one record; returns the TraceIoError's message
+/// (and its offset through `offset`), or "" when decoding succeeded.
+std::string decode_error(const std::string& bytes,
+                         std::uint64_t* offset = nullptr) {
+  try {
+    (void)trace::decode_event_binary(
+        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
+  } catch (const trace::TraceIoError& e) {
+    if (offset != nullptr) *offset = e.byte_offset();
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RecordCodec, EveryTruncationThrows) {
+  const std::vector<trace::TraceEvent> events = pinned_events();
+  // A SessionStart, a QUERY with a string and a SessionEnd.
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    const std::string record = encode(events[k]);
+    for (std::size_t cut = 0; cut < record.size(); ++cut) {
+      std::uint64_t offset = 0;
+      const std::string what = decode_error(record.substr(0, cut), &offset);
+      EXPECT_NE(what.find("truncated record"), std::string::npos)
+          << "event " << k << " cut at " << cut << ": " << what;
+      EXPECT_EQ(offset, cut) << "event " << k;
+    }
+    EXPECT_EQ(decode_error(record), "") << "event " << k;
+  }
+}
+
+TEST(RecordCodec, UnknownKindThrows) {
+  std::string record = encode(pinned_events()[3]);
+  for (const char kind : {'\x00', '\x04', '\x7f'}) {
+    record[0] = kind;
+    std::uint64_t offset = 1;
+    EXPECT_NE(decode_error(record, &offset).find("unknown record kind"),
+              std::string::npos)
+        << static_cast<int>(kind);
+    EXPECT_EQ(offset, 0u);
+  }
+}
+
+TEST(RecordCodec, TrailingByteThrows) {
+  for (const auto& event : pinned_events()) {
+    const std::string record = encode(event) + '\0';
+    std::uint64_t offset = 0;
+    EXPECT_NE(decode_error(record, &offset).find("1 trailing byte"),
+              std::string::npos);
+    EXPECT_EQ(offset, record.size() - 1);
+  }
+}
+
+TEST(RecordCodec, OversizedStringLengthThrows) {
+  const std::vector<trace::TraceEvent> events = pinned_events();
+  // Offsets of the u32 string length: the user agent of a SessionStart
+  // (kind, time, session_id, ip, ultrapeer) and the query of a message
+  // (kind, time, session_id, type, ttl, hops, guid_hash).
+  const std::pair<std::size_t, std::size_t> cases[] = {{0, 22}, {1, 28}};
+  for (const auto& [k, at] : cases) {
+    std::string record = encode(events[k]);
+    const std::uint32_t oversized = trace::kMaxStringBytes + 1;
+    std::memcpy(record.data() + at, &oversized, sizeof(oversized));
+    std::uint64_t offset = 0;
+    EXPECT_NE(decode_error(record, &offset).find("oversized string"),
+              std::string::npos)
+        << "event " << k;
+    EXPECT_EQ(offset, at) << "event " << k;
   }
 }
 

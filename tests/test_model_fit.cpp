@@ -6,6 +6,7 @@
 #include "analysis/filters.hpp"
 #include "analysis/model_fit.hpp"
 #include "core/generator.hpp"
+#include "obs/metrics.hpp"
 
 namespace p2pgen::analysis {
 namespace {
@@ -48,6 +49,42 @@ TEST(FitAppendixTables, RecoversTableA3FromSyntheticSamples) {
   EXPECT_NEAR(fit.body_weight, 0.5, 0.02);
   EXPECT_NEAR(fit.body.alpha, 1.477, 0.25);
   EXPECT_NEAR(fit.tail.mu, 5.091, 0.4);
+}
+
+TEST(FitAppendixTables, ZeroFirstQueryGapIsLeftOutOfTableA3) {
+  // A query in the same tick as its connection measures a first-query gap
+  // of exactly 0, which the Weibull body's MLE cannot take.
+  auto truth = stats::bimodal_split(stats::make_weibull(1.477, 0.005252),
+                                    stats::make_lognormal(5.091, 2.905), 45.0,
+                                    0.5);
+  SessionMeasures clean;
+  clean.first_query_by_period_class[kNa][kPeak][0] = draw(*truth, 2000, 5);
+  SessionMeasures with_zero = clean;
+  auto& cell = with_zero.first_query_by_period_class[kNa][kPeak][0];
+  cell.insert(cell.begin() + 100, 0.0);
+
+  const auto counter = [] {
+    return obs::Registry::global().snapshot().counter_value(
+        "fit.first_query_nonpositive");
+  };
+  const std::uint64_t before = counter();
+  AppendixFits fits;
+  ASSERT_NO_THROW(fits = fit_appendix_tables(with_zero));
+  EXPECT_EQ(fits.first_query_nonpositive, 1u);
+  EXPECT_EQ(counter() - before, 1u);
+
+  // The zero is left out: the fit is the fit of the positive draws alone.
+  const AppendixFits want = fit_appendix_tables(clean);
+  EXPECT_EQ(want.first_query_nonpositive, 0u);
+  EXPECT_EQ(counter() - before, 1u);
+  const auto& got = fits.first_query[kNa][kPeak][0];
+  const auto& expected = want.first_query[kNa][kPeak][0];
+  EXPECT_GT(got.body_weight, 0.0);
+  EXPECT_EQ(got.body_weight, expected.body_weight);
+  EXPECT_EQ(got.body.alpha, expected.body.alpha);
+  EXPECT_EQ(got.body.lambda, expected.body.lambda);
+  EXPECT_EQ(got.tail.mu, expected.tail.mu);
+  EXPECT_EQ(got.tail.sigma, expected.tail.sigma);
 }
 
 TEST(FitAppendixTables, RecoversTableA4FromSyntheticSamples) {

@@ -1,5 +1,5 @@
-// Durability suite for the trace spool (DESIGN.md §9) and the lenient
-// trace reader: round trips across segment rolls, writer resume after
+// Durability suite for the trace spool (DESIGN.md §9) and its salvage
+// reader (§14): round trips across segment rolls, writer resume after
 // close, fuzzed torn tails and corrupted bytes (every damaged spool must
 // recover exactly the valid record prefix and at most the unsynced tail
 // frame may be lost), the interior-damage hard error, the record-size
@@ -310,81 +310,6 @@ TEST(Spool, SyncIntervalBoundsTheUnsyncedTail) {
   EXPECT_GE(scan.records + config.sync_interval_records, original.size());
   writer.close();
   EXPECT_EQ(trace::scan_spool(dir, false).records, original.size());
-}
-
-// Lenient trace reader (the recovery counterpart of read_binary) -------
-
-TEST(TraceLenient, FullFileMatchesStrictReader) {
-  const trace::Trace original = make_trace(16, 8);
-  const std::string bytes = serialize(original);
-  std::istringstream in(bytes);
-  trace::SalvageReport report;
-  const trace::Trace loaded = trace::read_trace_lenient(in, &report);
-  EXPECT_EQ(serialize(loaded), bytes);
-  EXPECT_FALSE(report.damaged());
-  EXPECT_EQ(report.records_recovered, original.size());
-  EXPECT_EQ(report.bytes_quarantined, 0u);
-}
-
-TEST(TraceLenient, FuzzTruncationKeepsValidPrefixWhereStrictThrows) {
-  const trace::Trace original = make_trace(16, 9);
-  const std::string bytes = serialize(original);
-  stats::Rng rng(55);
-  for (int round = 0; round < 64; ++round) {
-    // Cut somewhere after the header so the lenient path is exercised
-    // (header damage is not recoverable and still throws).
-    const std::size_t min_keep = 16;
-    const std::size_t cut =
-        min_keep + rng.next_u64() % (bytes.size() - min_keep);
-    const std::string torn = bytes.substr(0, cut);
-    // When the strict reader rejects the torn stream, the lenient one
-    // must recover its valid prefix; a cut exactly on a record boundary
-    // parses as a shorter-but-valid trace in both (the silent data loss
-    // the CRC-framed spool exists to rule out).
-    bool strict_threw = false;
-    {
-      std::istringstream strict_in(torn);
-      try {
-        (void)trace::read_binary(strict_in);
-      } catch (const trace::TraceIoError&) {
-        strict_threw = true;
-      }
-    }
-    std::istringstream in(torn);
-    trace::SalvageReport report;
-    const trace::Trace recovered = trace::read_trace_lenient(in, &report);
-    ASSERT_LE(recovered.size(), original.size());
-    EXPECT_EQ(report.records_recovered, recovered.size());
-    EXPECT_EQ(report.damaged(), strict_threw);
-    if (strict_threw) {
-      EXPECT_GT(report.bytes_quarantined, 0u);
-      ASSERT_EQ(report.ranges.size(), 1u);
-      EXPECT_FALSE(report.ranges[0].detail.empty());
-      EXPECT_GE(report.ranges[0].byte_end, report.ranges[0].byte_begin);
-    }
-    for (std::size_t i = 0; i < recovered.size(); ++i) {
-      trace::Trace a, b;
-      a.append(recovered.events()[i]);
-      b.append(original.events()[i]);
-      ASSERT_EQ(serialize(a), serialize(b)) << "event " << i << " cut " << cut;
-    }
-  }
-}
-
-TEST(TraceLenient, LoadFileVariantReportsTruncation) {
-  const trace::Trace original = make_trace(8, 10);
-  const std::string bytes = serialize(original);
-  const std::string path = ::testing::TempDir() + "/p2pgen_lenient_cut.bin";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() - 5));
-  }
-  trace::SalvageReport report;
-  const trace::Trace recovered = trace::load_trace_lenient(path, &report);
-  EXPECT_TRUE(report.damaged());
-  EXPECT_LT(recovered.size(), original.size());
-  EXPECT_EQ(report.records_recovered, recovered.size());
 }
 
 // Salvage-mode spool reads (DESIGN.md §14) --------------------------------
@@ -723,17 +648,13 @@ TEST(Spool, OversizedStringIsRefusedBeforeAnyByteIsWritten) {
   EXPECT_EQ(serialize(loaded), serialize(original));
 }
 
-TEST(Spool, MaximalStringRoundTripsThroughSpoolAndTraceFile) {
+TEST(Spool, MaximalStringRoundTripsThroughSpool) {
   trace::Trace original;
   original.append(trace::TraceEvent(query_of_length(trace::kMaxStringBytes)));
 
   const std::string dir = temp_spool_dir("maximal");
   spool_trace(original, dir);
-  EXPECT_EQ(serialize(trace::read_spool(dir)), serialize(original));
-
-  const std::string path = dir + "/maximal.bin";
-  trace::save_binary(original, path);
-  const trace::Trace loaded = trace::load_binary(path);
+  const trace::Trace loaded = trace::read_spool(dir);
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded.events()[0], original.events()[0]);
 }
