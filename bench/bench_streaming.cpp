@@ -213,8 +213,8 @@ int run_child(const std::string& phase, const std::string& dir) {
     out.trace_digest = result.trace_digest;
     out.filters = result.filters;
     std::cerr << "[bench] streaming: " << result.streaming.segments_read
-              << " segment(s), max decoded "
-              << result.streaming.max_decoded_segments << ", max open " << result.streaming.max_open_sessions
+              << " segment(s), max decoded chunks "
+              << result.streaming.max_decoded_chunks << ", max open " << result.streaming.max_open_sessions
               << " tracked " << result.streaming.max_tracked_sessions << "\n";
   } else {
     std::cerr << "[bench] unknown --phase=" << phase << "\n";

@@ -432,8 +432,8 @@ int main(int argc, char** argv) {
     timeline = std::move(streaming->timeline);
     std::cout << "  streaming pass:      " << streaming->streaming.segments_read
               << " segment(s), at most "
-              << streaming->streaming.max_decoded_segments
-              << " decoded at once, max open sessions "
+              << streaming->streaming.max_decoded_chunks
+              << " chunk(s) decoded at once, max open sessions "
               << streaming->streaming.max_open_sessions << " (tracked "
               << streaming->streaming.max_tracked_sessions << ")\n";
   } else if (shards > 1) {

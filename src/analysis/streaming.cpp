@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <deque>
 #include <exception>
 #include <limits>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <stop_token>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -27,67 +31,160 @@
 namespace p2pgen::analysis {
 namespace {
 
-/// One decoded spool segment: the events and the canonicalized keyword
-/// strings of hop-1 queries (canonical_keywords dominates decode cost, so
-/// it runs on the decoding thread).  The raw frame bytes are NOT kept:
-/// append_event_binary round-trips exactly (the checkpoint replay
-/// digest-check is built on that), so the consumer re-encodes each event
-/// — with its namespaced session id — when folding it into the trace
-/// digest.
-struct DecodedSegment {
+/// One decoded chunk: up to kDecodeChunkRecords consecutive records of one
+/// spool segment, their session ids namespaced by shard exactly like
+/// merge_traces, plus what the consumer would otherwise compute per event
+/// on the critical path: the canonicalized keyword strings of hop-1
+/// queries, and each event's record bytes for the trace digest — the
+/// bytes append_event_binary writes and binary_digest folds in.  Query
+/// strings stay empty: the analysis reads a query only through its
+/// canonical keywords.
+struct DecodedChunk {
   std::vector<trace::TraceEvent> events;
+  /// The events' records back to back; record i ends at record_ends[i].
+  std::string records;
+  std::vector<std::size_t> record_ends;
   /// One per hop-1 QUERY, in event order (most events are not one, so
   /// an event-aligned vector would hold mostly empty strings).
   std::vector<std::string> canonical;
-  trace::SegmentReadResult read;
+  /// What reading the segment found; set on its first chunk only, so the
+  /// consumer does the per-segment bookkeeping once, in segment order.
+  std::optional<trace::SegmentReadResult> read;
 };
 
-/// `events_hint` is the record count of the shard's previous segment:
-/// every segment but the last holds the same number, so reserving it
-/// skips the vector's doubling regrowths (each an mmap/munmap pair once
-/// the buffer is past the allocator's mmap threshold).
-DecodedSegment decode_segment(const trace::SpoolReader& reader,
-                              std::size_t index, std::size_t events_hint) {
-  obs::ObsSpan span("streaming.segment_decode");
-  DecodedSegment seg;
-  seg.events.reserve(events_hint);
-  seg.read = reader.read_segment(
-      index, [&seg](const std::uint8_t* data, std::size_t size) {
-        seg.events.push_back(trace::decode_event_binary(data, size));
-      });
-  const auto hop1_query = [](const trace::TraceEvent& event) {
-    const auto* msg = std::get_if<trace::MessageEvent>(&event);
-    return msg != nullptr && msg->type == gnutella::MessageType::kQuery &&
-           msg->hops == 1;
-  };
-  seg.canonical.reserve(static_cast<std::size_t>(
-      std::count_if(seg.events.begin(), seg.events.end(), hop1_query)));
-  for (const auto& event : seg.events) {
-    if (!hop1_query(event)) continue;
-    gnutella::canonical_keywords(std::get<trace::MessageEvent>(event).query,
-                                 seg.canonical.emplace_back());
+/// A segment read and CRC-validated once, waiting to be split into
+/// chunks: where each valid payload sits in the segment file, decoded
+/// later chunk by chunk from `bytes`, the file mapped while the segment
+/// is being split.
+struct RawSegment {
+  std::string path;
+  std::optional<trace::SegmentBytes> bytes;
+  std::vector<std::pair<std::size_t, std::size_t>> frames;  // offset, size
+  trace::SegmentReadResult read;
+  /// The read (or mapping the bytes again) failed: its first chunk
+  /// rethrows this.
+  std::exception_ptr error;
+  std::size_t chunks = 0;  // at least one, to carry `read` or `error`
+
+  /// Maps the file again when the frames were validated ahead of time.
+  /// A file cut below what the read validated becomes an error.
+  void map() noexcept {
+    if (bytes || error) return;
+    try {
+      bytes.emplace(path);
+      if (bytes->size() < read.valid_end) {
+        throw trace::TraceIoError(
+            "spool: segment shrank after validation: " + path,
+            read.valid_end);
+      }
+    } catch (...) {
+      error = std::current_exception();
+    }
   }
-  return seg;
+};
+
+/// Reads and CRC-validates segment `index` of `reader` once.  Never
+/// throws: a read error is kept in the result and rethrown by the decode
+/// of its first chunk.  `records_hint` is the record count of the shard's
+/// previous segment: every segment but the last holds the same number, so
+/// reserving it skips the vector's doubling regrowths.
+std::unique_ptr<RawSegment> read_raw_segment(const trace::SpoolReader& reader,
+                                             std::size_t index,
+                                             std::size_t records_hint) {
+  obs::ObsSpan span("streaming.segment_read");
+  auto raw = std::make_unique<RawSegment>();
+  raw->path = reader.segment_paths()[index];
+  // Salvage mode quarantines CRC-valid frames that do not decode, so it
+  // decodes each frame during the read as well.
+  const bool salvage = reader.mode() == trace::SpoolReadMode::kSalvage;
+  try {
+    const trace::SegmentBytes& bytes = raw->bytes.emplace(raw->path);
+    raw->frames.reserve(records_hint);
+    raw->read = reader.read_segment(
+        index, bytes, [&](const std::uint8_t* data, std::size_t size) {
+          if (salvage) {
+            std::string_view query;
+            (void)trace::decode_event_binary(data, size, &query);
+          }
+          raw->frames.emplace_back(
+              static_cast<std::size_t>(data - bytes.data()), size);
+        });
+  } catch (...) {
+    raw->error = std::current_exception();
+    raw->frames.clear();
+  }
+  raw->chunks = std::max<std::size_t>(
+      1, (raw->frames.size() + kDecodeChunkRecords - 1) / kDecodeChunkRecords);
+  return raw;
 }
 
-/// How many decoded segments a shard may hold at once: queued (being
+/// Decodes chunk `chunk` of `raw`, adding `id_base` to every session id.
+/// Distinct chunks of one segment read disjoint parts of it, so they may
+/// be decoded concurrently.
+DecodedChunk decode_chunk(RawSegment& raw, std::size_t chunk,
+                          std::uint64_t id_base) {
+  obs::ObsSpan span("streaming.chunk_decode");
+  if (raw.error) std::rethrow_exception(raw.error);
+  DecodedChunk out;
+  const std::size_t begin = chunk * kDecodeChunkRecords;
+  const std::size_t end =
+      std::min(raw.frames.size(), begin + kDecodeChunkRecords);
+  std::size_t bytes = 0;
+  for (std::size_t i = begin; i < end; ++i) bytes += raw.frames[i].second;
+  out.events.reserve(end - begin);
+  out.records.reserve(bytes);
+  out.record_ends.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::uint8_t* data = raw.bytes->data() + raw.frames[i].first;
+    const std::size_t size = raw.frames[i].second;
+    std::string_view query;
+    trace::TraceEvent& event =
+        out.events.emplace_back(trace::decode_event_binary(data, size, &query));
+    std::visit([id_base](auto& e) { e.session_id += id_base; }, event);
+    const auto* msg = std::get_if<trace::MessageEvent>(&event);
+    if (msg != nullptr && msg->type == gnutella::MessageType::kQuery &&
+        msg->hops == 1) {
+      gnutella::canonical_keywords(query, out.canonical.emplace_back());
+    }
+    // The frame holds exactly the record append_event_binary writes, so
+    // it is copied, with the session id namespaced in place.
+    const std::size_t at = out.records.size();
+    out.records.append(reinterpret_cast<const char*>(data), size);
+    char* id = out.records.data() + at + trace::kRecordSessionIdOffset;
+    std::uint64_t value = 0;
+    std::memcpy(&value, id, sizeof(value));
+    value += id_base;
+    std::memcpy(id, &value, sizeof(value));
+    out.record_ends.push_back(out.records.size());
+  }
+  if (chunk == 0) out.read = std::move(raw.read);
+  return out;
+}
+
+/// How many decoded chunks a shard may hold at once: queued (being
 /// decoded or ready), the one the consumer is merging, and consumed ones
-/// not yet freed all count.  Bounds streaming memory at
-/// O(shards * depth * segment), independent of spool size.
+/// not yet freed all count.  With the one mapped segment a shard may be
+/// splitting, this bounds streaming memory at
+/// O(shards * (depth * chunk + segment)), independent of spool size.
 constexpr std::size_t kPrefetchDepth = 2;
 
-/// Bounded per-shard queues of decoded segments.  `threads - 1` decoder
-/// threads fill them ahead of the consumer and free the segments it has
-/// finished with; whatever the consumer needs that no decoder has claimed
-/// yet it decodes inline, so one thread spawns nothing and the pass never
-/// uses more than `threads` threads.  The consumer takes each shard's
-/// segments strictly in index order, which is what keeps results
-/// identical at any thread count: decoders only change WHEN a segment is
-/// decoded, never which bytes the consumer sees or in what order.
-class SegmentPipeline {
+/// Bounded per-shard queues of decoded chunks.  `threads - 1` decoder
+/// threads fill them ahead of the consumer and free the chunks it has
+/// finished with; whatever the consumer needs that no decoder has taken
+/// on yet it reads or decodes inline, so one thread spawns nothing and
+/// the pass never uses more than `threads` threads.  A shard splits one
+/// raw segment at a time, its chunks claimed in order by whichever thread
+/// comes first.  A decoder validates the next segment while the current
+/// one is being split, keeping only where its frames are, so the
+/// consumer rarely waits for a whole-segment read.  The
+/// consumer takes each shard's chunks strictly in (segment, chunk) order,
+/// which is what keeps results identical at any thread count: decoders
+/// only change WHEN a segment is read or a chunk decoded, never which
+/// bytes the consumer sees or in what order.
+class ChunkPipeline {
  public:
-  SegmentPipeline(const std::vector<std::string>& dirs,
-                  trace::SpoolReadMode mode, unsigned threads)
+  ChunkPipeline(const std::vector<std::string>& dirs,
+                trace::SpoolReadMode mode, unsigned threads)
       : queues_(dirs.size()) {
     readers_.reserve(dirs.size());
     for (const auto& dir : dirs) readers_.emplace_back(dir, mode);
@@ -97,75 +194,85 @@ class SegmentPipeline {
     }
   }
 
-  SegmentPipeline(const SegmentPipeline&) = delete;
-  SegmentPipeline& operator=(const SegmentPipeline&) = delete;
+  ChunkPipeline(const ChunkPipeline&) = delete;
+  ChunkPipeline& operator=(const ChunkPipeline&) = delete;
 
-  ~SegmentPipeline() { stop(); }
+  ~ChunkPipeline() { stop(); }
 
   const trace::SpoolReader& reader(std::size_t shard) const {
     return readers_[shard];
   }
 
-  /// Frees the segment `seg` holds for `shard` (if any) and moves the
-  /// shard's next segment into it.  False once the shard is exhausted.
-  /// A decode error is rethrown when the consumer reaches its segment —
-  /// the same error, in the same order, as a one-thread pass.
-  bool next(std::size_t shard, DecodedSegment& seg) {
+  /// Frees the chunk `chunk` holds for `shard` (if any) and moves the
+  /// shard's next chunk into it.  False once the shard is exhausted.  A
+  /// read or decode error is rethrown when the consumer reaches the chunk
+  /// that holds it (a segment's read error: its first chunk) — the same
+  /// error, in the same order, as a one-thread pass.
+  bool next(std::size_t shard, DecodedChunk& chunk) {
     std::unique_lock lock(mu_);
     ShardQueue& q = queues_[shard];
     if (q.holding) {
       q.holding = false;
       if (decoders_.empty()) {
-        seg = DecodedSegment{};
+        chunk = DecodedChunk{};
         release(q);
       } else {
-        garbage_.emplace_back(shard, std::move(seg));
+        garbage_.emplace_back(shard, std::move(chunk));
         work_cv_.notify_one();
       }
     }
     for (;;) {
       if (!q.queued.empty()) {
         ready_cv_.wait(lock, [&q] { return q.queued.front().done; });
-        QueuedSegment front = std::move(q.queued.front());
+        QueuedChunk front = std::move(q.queued.front());
         q.queued.pop_front();
         if (front.error) std::rethrow_exception(front.error);
-        seg = std::move(front.seg);
+        chunk = std::move(front.chunk);
         q.holding = true;
         return true;
       }
-      if (q.next_claim >= readers_[shard].segment_count()) return false;
+      // Nothing queued: every chunk claimed so far is decoded, so a raw
+      // segment left still has chunks nobody has claimed.
+      if (q.raw == nullptr) {
+        if (q.reading) {
+          ready_cv_.wait(lock,
+                         [&q] { return !q.reading || !q.queued.empty(); });
+          continue;
+        }
+        if (q.next_segment >= readers_[shard].segment_count()) return false;
+        read(shard, lock);
+        continue;
+      }
       if (q.held >= kPrefetchDepth) {
-        // Only this shard's consumed segments can fill the bound here.
+        // Only this shard's consumed chunks can fill the bound here.
         // Free one inline rather than wait for a decoder busy elsewhere;
-        // if a decoder is already freeing it, wait for that.
+        // if a decoder is already freeing it, wait for that — or for the
+        // chunks other decoders may claim as soon as it is freed, which
+        // only this consumer can release again.
         const auto it = std::find_if(
             garbage_.begin(), garbage_.end(),
             [shard](const auto& item) { return item.first == shard; });
         if (it == garbage_.end()) {
-          ready_cv_.wait(lock, [&q] { return q.held < kPrefetchDepth; });
+          ready_cv_.wait(lock, [&q] {
+            return q.held < kPrefetchDepth || !q.queued.empty();
+          });
           continue;
         }
-        DecodedSegment doomed = std::move(it->second);
+        DecodedChunk doomed = std::move(it->second);
         garbage_.erase(it);
         lock.unlock();
-        doomed = DecodedSegment{};
+        doomed = DecodedChunk{};
         lock.lock();
         release(q);
         continue;
       }
-      const std::size_t index = q.next_claim++;
-      claim(q);
-      const std::size_t hint = q.events_hint;
-      lock.unlock();
-      seg = decode_segment(readers_[shard], index, hint);
-      lock.lock();
-      q.events_hint = seg.events.size();
+      chunk = decode(shard, lock);
       q.holding = true;
       return true;
     }
   }
 
-  /// Stops the decoders once they have freed every consumed segment, and
+  /// Stops the decoders once they have freed every consumed chunk, and
   /// joins them.  Idempotent; also runs on every exit path via the
   /// destructor.
   void stop() {
@@ -173,27 +280,36 @@ class SegmentPipeline {
     decoders_.clear();
   }
 
-  /// High-water count of decoded segments alive at once, all shards.
+  /// High-water count of decoded chunks alive at once, all shards.
   std::uint64_t max_alive() const {
     std::lock_guard lock(mu_);
     return max_alive_;
   }
 
  private:
-  /// A segment a decoder claimed, queued in its shard's index order.
-  struct QueuedSegment {
-    std::size_t index = 0;
+  /// A chunk a decoder claimed, queued in its shard's (segment, chunk)
+  /// order.
+  struct QueuedChunk {
     bool done = false;
-    DecodedSegment seg;
+    DecodedChunk chunk;
     std::exception_ptr error;
   };
 
   struct ShardQueue {
-    std::deque<QueuedSegment> queued;
-    std::size_t next_claim = 0;   // next segment index nobody has claimed
-    std::size_t held = 0;         // counted against kPrefetchDepth
-    std::size_t events_hint = 0;  // record count of the latest decode
-    bool holding = false;         // the consumer holds one of `held`
+    std::deque<QueuedChunk> queued;
+    /// The segment being split, from the end of its read until its last
+    /// chunk is decoded.
+    std::unique_ptr<RawSegment> raw;
+    /// The next segment, validated while `raw` is split and not mapped
+    /// until it takes `raw`'s place.
+    std::unique_ptr<RawSegment> ahead;
+    std::size_t next_chunk = 0;    // next chunk of `raw` nobody has claimed
+    std::size_t undecoded = 0;     // chunks of `raw` not yet decoded
+    bool reading = false;          // a thread is reading the next segment
+    std::size_t next_segment = 0;  // next segment index nobody has read
+    std::size_t held = 0;          // chunks counted against kPrefetchDepth
+    std::size_t records_hint = 0;  // record count of the latest read
+    bool holding = false;          // the consumer holds one of `held`
   };
 
   void claim(ShardQueue& q) {
@@ -207,78 +323,152 @@ class SegmentPipeline {
     --alive_;
   }
 
-  /// The claimable shard whose queue is shortest (lowest index on ties),
-  /// or queues_.size() when none may claim.
-  std::size_t claimable() const {
+  /// Whether a thread may read shard `s`'s next segment now.  Reads do
+  /// not count against kPrefetchDepth: they fill the shard's raw-segment
+  /// slot or its read-ahead slot.
+  bool readable(std::size_t s) const {
+    const ShardQueue& q = queues_[s];
+    return !q.reading && q.ahead == nullptr &&
+           q.next_segment < readers_[s].segment_count();
+  }
+
+  /// Whether a thread may claim shard `s`'s next chunk now.
+  bool decodable(std::size_t s) const {
+    const ShardQueue& q = queues_[s];
+    return q.raw != nullptr && q.held < kPrefetchDepth &&
+           q.next_chunk < q.raw->chunks;
+  }
+
+  /// The shard with work to claim whose queue is shortest (lowest index
+  /// on ties), or queues_.size() when there is none.
+  std::size_t most_starved() const {
     std::size_t best = queues_.size();
     for (std::size_t s = 0; s < queues_.size(); ++s) {
-      const ShardQueue& q = queues_[s];
-      if (q.held >= kPrefetchDepth ||
-          q.next_claim >= readers_[s].segment_count()) {
-        continue;
-      }
+      if (!readable(s) && !decodable(s)) continue;
       if (best == queues_.size() ||
-          q.queued.size() < queues_[best].queued.size()) {
+          queues_[s].queued.size() < queues_[best].queued.size()) {
         best = s;
       }
     }
     return best;
   }
 
+  /// Makes `raw` the segment shard queue `q` splits, mapping it again if
+  /// it was read ahead.
+  void split(ShardQueue& q, std::unique_ptr<RawSegment> raw) {
+    raw->map();
+    q.next_chunk = 0;
+    q.undecoded = raw->chunks;
+    q.raw = std::move(raw);
+  }
+
+  /// Reads and validates shard `s`'s next segment into its raw slot, or
+  /// into its read-ahead slot if a segment is still being split.  Called
+  /// and returns with `lock` held; reads with it released.
+  void read(std::size_t s, std::unique_lock<std::mutex>& lock) {
+    ShardQueue& q = queues_[s];
+    const std::size_t index = q.next_segment++;
+    const std::size_t hint = q.records_hint;
+    q.reading = true;
+    lock.unlock();
+    std::unique_ptr<RawSegment> raw = read_raw_segment(readers_[s], index, hint);
+    lock.lock();
+    q.reading = false;
+    q.records_hint = raw->frames.size();
+    if (q.raw == nullptr) {
+      split(q, std::move(raw));
+      work_cv_.notify_all();  // its chunks may be claimed now
+    } else {
+      raw->bytes.reset();  // mapped again when its turn comes
+      q.ahead = std::move(raw);
+    }
+    ready_cv_.notify_one();  // the consumer may be waiting for the read
+  }
+
+  /// Claims shard `s`'s next chunk and decodes it, freeing the raw
+  /// segment after its last chunk.  Called and returns with `lock` held;
+  /// decodes and frees with it released.
+  DecodedChunk decode(std::size_t s, std::unique_lock<std::mutex>& lock) {
+    ShardQueue& q = queues_[s];
+    claim(q);
+    RawSegment& raw = *q.raw;
+    const std::size_t chunk = q.next_chunk++;
+    lock.unlock();
+    DecodedChunk out;
+    std::exception_ptr error;
+    try {
+      out = decode_chunk(raw, chunk,
+                         static_cast<std::uint64_t>(s) *
+                             trace::kShardSessionStride);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    if (--q.undecoded == 0) {
+      std::unique_ptr<RawSegment> doomed = std::move(q.raw);
+      if (q.ahead != nullptr) split(q, std::move(q.ahead));
+      lock.unlock();
+      doomed.reset();
+      lock.lock();
+      work_cv_.notify_all();  // the next segment may be split or read now
+    }
+    if (error) std::rethrow_exception(error);
+    return out;
+  }
+
+  /// Does one unit of a decoder's work: frees a consumed chunk, or else
+  /// reads a segment or decodes a chunk for the most starved shard, a
+  /// decode first.  Called and returns with `lock` held.
+  void work_one(std::unique_lock<std::mutex>& lock) {
+    // Freeing comes first: the consumer's finished chunks are what hold
+    // the bound.
+    if (!garbage_.empty()) {
+      const std::size_t shard = garbage_.back().first;
+      DecodedChunk doomed = std::move(garbage_.back().second);
+      garbage_.pop_back();
+      lock.unlock();
+      doomed = DecodedChunk{};
+      lock.lock();
+      release(queues_[shard]);
+      ready_cv_.notify_one();
+      return;
+    }
+    const std::size_t shard = most_starved();
+    if (!decodable(shard)) {
+      read(shard, lock);
+      return;
+    }
+    // Deque elements stay put on push_back, and the consumer never pops
+    // a chunk before it is done, so `slot` outlives the decode.
+    QueuedChunk& slot = queues_[shard].queued.emplace_back();
+    try {
+      slot.chunk = decode(shard, lock);
+    } catch (...) {
+      slot.error = std::current_exception();
+    }
+    slot.done = true;
+    ready_cv_.notify_one();
+  }
+
   void decode_loop(std::stop_token stop) {
     std::unique_lock lock(mu_);
     for (;;) {
       work_cv_.wait(lock, stop, [this] {
-        return !garbage_.empty() || claimable() < queues_.size();
+        return !garbage_.empty() || most_starved() < queues_.size();
       });
-      // Freeing comes first, and continues after a stop: the consumer's
-      // finished segments are what hold the bound.
-      if (!garbage_.empty()) {
-        const std::size_t shard = garbage_.back().first;
-        DecodedSegment doomed = std::move(garbage_.back().second);
-        garbage_.pop_back();
-        lock.unlock();
-        doomed = DecodedSegment{};
-        lock.lock();
-        release(queues_[shard]);
-        ready_cv_.notify_one();
-        continue;
-      }
-      if (stop.stop_requested()) return;
-      const std::size_t shard = claimable();
-      ShardQueue& q = queues_[shard];
-      const std::size_t index = q.next_claim++;
-      claim(q);
-      q.queued.push_back(QueuedSegment{index, false, {}, nullptr});
-      const std::size_t hint = q.events_hint;
-      lock.unlock();
-      DecodedSegment seg;
-      std::exception_ptr error;
-      try {
-        seg = decode_segment(readers_[shard], index, hint);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      lock.lock();
-      if (!error) q.events_hint = seg.events.size();
-      for (QueuedSegment& queued : q.queued) {
-        if (queued.index != index) continue;
-        queued.seg = std::move(seg);
-        queued.error = error;
-        queued.done = true;
-        break;
-      }
-      ready_cv_.notify_one();
+      // Freeing continues after a stop; claiming new work does not.
+      if (stop.stop_requested() && garbage_.empty()) return;
+      work_one(lock);
     }
   }
 
   std::vector<trace::SpoolReader> readers_;
   mutable std::mutex mu_;
-  std::condition_variable ready_cv_;     // consumer: a decode or free done
-  std::condition_variable_any work_cv_;  // decoders: a segment to free
+  std::condition_variable ready_cv_;     // consumer: a read, decode or free
+  std::condition_variable_any work_cv_;  // decoders: work to do
   std::vector<ShardQueue> queues_;
-  /// Consumed segments awaiting a decoder to free them, tagged by shard.
-  std::vector<std::pair<std::size_t, DecodedSegment>> garbage_;
+  /// Consumed chunks awaiting a decoder to free them, tagged by shard.
+  std::vector<std::pair<std::size_t, DecodedChunk>> garbage_;
   std::uint64_t alive_ = 0;
   std::uint64_t max_alive_ = 0;
   /// Last member: destroyed (stopped and joined) before the state above.
@@ -287,17 +477,16 @@ class SegmentPipeline {
 
 /// Per-shard merge state of the consumer.
 struct ShardCursor {
-  std::uint64_t id_base = 0;          // shard * kShardSessionStride
-  DecodedSegment segment;             // the segment being merged
+  DecodedChunk chunk;                 // the chunk being merged
   std::size_t position = 0;           // list position of the next segment
-  std::size_t event_pos = 0;          // position within `segment`
-  std::size_t canonical_pos = 0;      // next entry of segment.canonical
-  std::uint64_t records = 0;          // events in the segments taken so far
-  /// Time of segment.events[event_pos]; +inf once the shard is exhausted.
+  std::size_t event_pos = 0;          // position within `chunk`
+  std::size_t canonical_pos = 0;      // next entry of chunk.canonical
+  std::uint64_t records = 0;          // events in the chunks taken so far
+  /// Time of chunk.events[event_pos]; +inf once the shard is exhausted.
   double head_time = std::numeric_limits<double>::infinity();
   bool torn = false;                  // spool ended in a torn tail
   /// Salvage mode: the shard's gap accounting, fed one segment at a time
-  /// in index order as the consumer takes them.
+  /// in index order as the consumer takes their first chunks.
   trace::SalvageAssembler assembler;
 };
 
@@ -330,10 +519,6 @@ class StreamingPass {
           std::to_string(options.shard_records.size()) + " shards, not " +
           std::to_string(shard_dirs.size()));
     }
-    for (std::size_t k = 0; k < cursors_.size(); ++k) {
-      cursors_[k].id_base =
-          static_cast<std::uint64_t>(k) * trace::kShardSessionStride;
-    }
     std::string header;
     trace::append_header_binary(header);
     digest_ = trace::fnv1a_update(trace::kFnvOffsetBasis, header.data(),
@@ -344,39 +529,25 @@ class StreamingPass {
     obs::ObsSpan span("streaming.analyze");
     consume_all();
     pipeline_.stop();
-    stats_out_.max_decoded_segments = pipeline_.max_alive();
+    stats_out_.max_decoded_chunks = pipeline_.max_alive();
     return finalize();
   }
 
  private:
-  // ---- segment intake ----------------------------------------------------
+  // ---- chunk intake ------------------------------------------------------
 
-  /// Moves shard `s` on to its next non-empty segment (or marks it
-  /// exhausted), doing the per-segment bookkeeping in index order.
+  /// Moves shard `s` on to its next non-empty chunk (or marks it
+  /// exhausted), doing the per-segment bookkeeping in index order as each
+  /// segment's first chunk arrives.
   void advance(std::size_t s) {
     ShardCursor& cur = cursors_[s];
     cur.event_pos = 0;
     cur.canonical_pos = 0;
-    while (pipeline_.next(s, cur.segment)) {
-      const std::size_t position = cur.position++;
-      ++stats_out_.segments_read;
-      if (cur.segment.read.torn && !cur.torn) {
-        cur.torn = true;
-        ++stats_out_.shards_torn;
-      }
-      if (options_.salvage) {
-        // Feed the shard's gap accounting in segment-index order, missing
-        // files included — the exact protocol read_spool_salvage follows,
-        // so both paths report identical gaps for identical damage.
-        for (const std::size_t hole :
-             pipeline_.reader(s).missing_before(position)) {
-          cur.assembler.add_missing_segment(trace::spool_segment_name(hole));
-        }
-        cur.assembler.add_segment(cur.segment.read);
-      }
-      cur.records += cur.segment.events.size();
-      if (!cur.segment.events.empty()) {
-        cur.head_time = trace::event_time(cur.segment.events.front());
+    while (pipeline_.next(s, cur.chunk)) {
+      cur.records += cur.chunk.events.size();
+      if (cur.chunk.read) segment_taken(s, *cur.chunk.read);
+      if (!cur.chunk.events.empty()) {
+        cur.head_time = trace::event_time(cur.chunk.events.front());
         return;
       }
     }
@@ -387,6 +558,27 @@ class StreamingPass {
           "streaming: completed shard " + std::to_string(s) + " holds " +
           std::to_string(cur.records) + " records, its MANIFEST recorded " +
           std::to_string(options_.shard_records[s]));
+    }
+  }
+
+  /// The per-segment bookkeeping of shard `s`, in segment index order.
+  void segment_taken(std::size_t s, const trace::SegmentReadResult& read) {
+    ShardCursor& cur = cursors_[s];
+    const std::size_t position = cur.position++;
+    ++stats_out_.segments_read;
+    if (read.torn && !cur.torn) {
+      cur.torn = true;
+      ++stats_out_.shards_torn;
+    }
+    if (options_.salvage) {
+      // Feed the shard's gap accounting in segment-index order, missing
+      // files included — the exact protocol read_spool_salvage follows,
+      // so both paths report identical gaps for identical damage.
+      for (const std::size_t hole :
+           pipeline_.reader(s).missing_before(position)) {
+        cur.assembler.add_missing_segment(trace::spool_segment_name(hole));
+      }
+      cur.assembler.add_segment(read);
     }
   }
 
@@ -408,8 +600,8 @@ class StreamingPass {
       if (best == cursors_.size()) return;  // all shards exhausted
       ShardCursor& cur = cursors_[best];
       consume_one(cur);
-      if (++cur.event_pos < cur.segment.events.size()) {
-        cur.head_time = trace::event_time(cur.segment.events[cur.event_pos]);
+      if (++cur.event_pos < cur.chunk.events.size()) {
+        cur.head_time = trace::event_time(cur.chunk.events[cur.event_pos]);
       } else {
         advance(best);
       }
@@ -417,18 +609,15 @@ class StreamingPass {
   }
 
   void consume_one(ShardCursor& cur) {
-    trace::TraceEvent& event = cur.segment.events[cur.event_pos];
+    const DecodedChunk& chunk = cur.chunk;
+    const trace::TraceEvent& event = chunk.events[cur.event_pos];
 
-    // Namespace the session id exactly like merge_traces, then fold the
-    // re-encoded record bytes into the running binary_digest stream
-    // (append_event_binary is the exact encoding the spool held).
-    if (cur.id_base != 0) {
-      std::visit([&](auto& e) { e.session_id += cur.id_base; }, event);
-    }
-    encode_buf_.clear();
-    trace::append_event_binary(event, encode_buf_);
-    digest_ = trace::fnv1a_update(digest_, encode_buf_.data(),
-                                  encode_buf_.size());
+    // Fold the record bytes into the running binary_digest stream.
+    const std::size_t record_begin =
+        cur.event_pos == 0 ? 0 : chunk.record_ends[cur.event_pos - 1];
+    digest_ = trace::fnv1a_update(digest_, chunk.records.data() + record_begin,
+                                  chunk.record_ends[cur.event_pos] -
+                                      record_begin);
     ++events_;
 
     // Table-1 counters (Trace::stats(), one event at a time).
@@ -454,7 +643,7 @@ class StreamingPass {
           ++stats_.query_messages;
           if (msg->hops == 1) {
             ++stats_.hop1_queries;
-            on_hop1_query(*msg, cur.segment.canonical[cur.canonical_pos++]);
+            on_hop1_query(*msg, cur.chunk.canonical[cur.canonical_pos++]);
           }
           break;
         case gnutella::MessageType::kQueryHit:
@@ -763,8 +952,8 @@ class StreamingPass {
         .record_max(static_cast<std::int64_t>(s.max_open_sessions));
     registry.gauge("streaming.max_tracked_sessions")
         .record_max(static_cast<std::int64_t>(s.max_tracked_sessions));
-    registry.gauge("streaming.max_decoded_segments")
-        .record_max(static_cast<std::int64_t>(s.max_decoded_segments));
+    registry.gauge("streaming.max_decoded_chunks")
+        .record_max(static_cast<std::int64_t>(s.max_decoded_chunks));
   }
 
   // Inputs.
@@ -772,11 +961,10 @@ class StreamingPass {
   const StreamingOptions& options_;
   std::vector<std::string> shard_dirs_;  ///< for the qtrace sidecars
   std::vector<ShardCursor> cursors_;
-  SegmentPipeline pipeline_;
+  ChunkPipeline pipeline_;
 
   // Merge + digest state.
   std::uint64_t digest_ = trace::kFnvOffsetBasis;
-  std::string encode_buf_;
   std::uint64_t events_ = 0;
   trace::TraceStats stats_;
   bool first_event_ = true;

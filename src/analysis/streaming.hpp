@@ -5,17 +5,19 @@
 // memory is O(trace).  analyze_spools() produces the SAME results —
 // bit-identical Table-1 stats, trace digest, Table-2 filter rows,
 // measures, appendix fits and refit model — in one pass over the
-// per-shard spools with peak memory O(segments in flight + open
-// sessions):
+// per-shard spools with peak memory O(chunks in flight + one segment per
+// shard + open sessions):
 //
-//   * segments are CRC-validated, decoded and keyword-canonicalized into
-//     bounded per-shard queues by decoder threads running alongside the
-//     consumer (trace/spool_reader single-pass iterator: validation and
-//     decode share one read);
+//   * each segment is read and CRC-validated once (trace/spool_reader),
+//     then decoded and keyword-canonicalized in chunks of
+//     kDecodeChunkRecords records into bounded per-shard queues, by
+//     decoder threads running alongside the consumer — the decode unit is
+//     the chunk, and a segment's size is an on-disk concern only;
 //   * a sequential consumer merges the decoded shard streams in the
-//     exact (time, shard) order of trace::merge_traces, namespacing
-//     session ids by kShardSessionStride and folding the patched record
-//     bytes into the same FNV-1a stream binary_digest() computes;
+//     exact (time, shard) order of trace::merge_traces (the chunk decode
+//     has already namespaced session ids by kShardSessionStride) and
+//     folds each record's bytes into the same FNV-1a stream
+//     binary_digest() computes;
 //   * sessions are reconstructed online in a bounded table and, once
 //     ended, emitted in SessionStart order — at which point the five
 //     filter rules and every measure accumulator run with the SAME code
@@ -23,8 +25,8 @@
 //     popularity_analysis.hpp expose the per-session forms), so every
 //     float lands in the same place in the same order.
 //
-// Parallelism only ever touches segment decode (and freeing), whose
-// outputs are pure per-segment values the consumer takes in a fixed
+// Parallelism only ever touches segment reads, chunk decode and freeing,
+// whose outputs are pure per-chunk values the consumer takes in a fixed
 // order — results are therefore identical at any thread count, which the
 // streaming determinism suite pins against the materialized oracle.
 #pragma once
@@ -48,8 +50,14 @@
 
 namespace p2pgen::analysis {
 
+/// Records per decoded chunk, the unit of the pass's per-shard queues and
+/// so of its memory and of its decode/merge overlap.  Every spool segment
+/// is split into chunks of this size whatever its on-disk size
+/// (behavior::DurabilityConfig::segment_max_records).
+inline constexpr std::size_t kDecodeChunkRecords = 8192;
+
 struct StreamingOptions {
-  /// Threads of the pass: the merge consumer plus `threads - 1` segment
+  /// Threads of the pass: the merge consumer plus `threads - 1` chunk
   /// decoders.  Never changes results.
   unsigned threads = 1;
   /// Filter rules applied at session emission.
@@ -85,10 +93,10 @@ struct StreamingOptions {
 /// part of the materialized-equivalence surface.
 struct StreamingStats {
   std::uint64_t segments_read = 0;
-  /// High-water count of decoded segments alive at once, all shards
-  /// (queued, being merged, or awaiting release); at most
-  /// 2 * shards.  Depends on thread timing, never on results.
-  std::uint64_t max_decoded_segments = 0;
+  /// High-water count of decoded chunks alive at once, all shards
+  /// (queued, being merged, or awaiting release); at most 2 * shards.
+  /// Depends on thread timing, never on results.
+  std::uint64_t max_decoded_chunks = 0;
   std::uint64_t events = 0;
   std::uint64_t shards_torn = 0;  ///< shards whose spool had a torn tail
   /// High-water mark of sessions that were open (no SessionEnd yet).

@@ -45,13 +45,13 @@ struct DurabilityConfig {
   /// on a crash — it is re-simulated, so nothing is wrong, just slower).
   std::uint64_t sync_interval_records = 65536;
 
-  /// Records per spool segment before the writer rolls to a new file.
-  /// Segments are the streaming analysis's unit of memory (it holds at
-  /// most two decoded segments per shard) AND its unit of parallelism, so
-  /// durable spools default to much smaller segments than the raw
-  /// SpoolConfig:
-  /// big enough to amortize the per-file cost, small enough that a
-  /// multi-day shard spans many of them.
+  /// Records per spool segment before the writer rolls to a new file: an
+  /// on-disk concern only.  The streaming analysis decodes in chunks of
+  /// analysis::kDecodeChunkRecords whatever the segment size, and maps
+  /// one segment per shard at a time.  Durable spools default to much
+  /// smaller segments than the raw SpoolConfig: big enough to amortize
+  /// the per-file cost, small enough that a multi-day shard spans many of
+  /// them and a damaged file loses little.
   std::uint64_t segment_max_records = std::uint64_t{1} << 16;
 
   /// Require an existing, identity-matching MANIFEST (the --resume flag):

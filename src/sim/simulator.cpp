@@ -8,7 +8,12 @@
 namespace p2pgen::sim {
 
 Simulator::Key Simulator::make_key(SimTime at, Handler&& handler) {
-  if (at < now_) throw std::invalid_argument("Simulator: cannot schedule in the past");
+  // Negated so a NaN time, which compares false both ways, is refused too.
+  if (!(at >= now_)) {
+    throw std::invalid_argument(std::isnan(at)
+                                    ? "Simulator: NaN time"
+                                    : "Simulator: cannot schedule in the past");
+  }
   if (!handler) throw std::invalid_argument("Simulator: null handler");
   std::uint32_t slot;
   if (free_slots_.empty()) {
@@ -38,7 +43,10 @@ std::uint64_t Simulator::schedule_at(SimTime at, Handler handler) {
 }
 
 std::uint64_t Simulator::schedule_after(SimTime delay, Handler handler) {
-  if (delay < 0.0) throw std::invalid_argument("Simulator: negative delay");
+  if (!(delay >= 0.0)) {
+    throw std::invalid_argument(std::isnan(delay) ? "Simulator: NaN delay"
+                                                  : "Simulator: negative delay");
+  }
   return schedule_at(now_ + delay, std::move(handler));
 }
 

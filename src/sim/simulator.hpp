@@ -52,10 +52,13 @@ class Simulator {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `handler` to run at absolute time `at` (>= now()).
-  /// Returns a nonzero event id usable with cancel().
+  /// Returns a nonzero event id usable with cancel().  A time before
+  /// now(), a NaN time or a null handler throws std::invalid_argument
+  /// (so does each of these in schedule_in_order()).
   std::uint64_t schedule_at(SimTime at, Handler handler);
 
-  /// Schedules `handler` after `delay` seconds (>= 0).
+  /// Schedules `handler` after `delay` seconds (>= 0; a negative or NaN
+  /// delay throws std::invalid_argument).
   std::uint64_t schedule_after(SimTime delay, Handler handler);
 
   /// schedule_at() for a caller whose successive times rarely decrease

@@ -26,58 +26,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// A segment's bytes: mmap'd when the platform allows, otherwise read
-/// into an owned buffer.  Either way the parse below sees one flat span.
-class MappedFile {
- public:
-  explicit MappedFile(const std::string& path) {
-    size_ = static_cast<std::size_t>(fs::file_size(path));
-#if P2PGEN_SPOOL_HAVE_MMAP
-    if (size_ > 0) {
-      const int fd = ::open(path.c_str(), O_RDONLY);
-      if (fd < 0) throw std::runtime_error("spool: cannot open " + path);
-      void* p = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (p != MAP_FAILED) {
-        map_ = p;
-        data_ = static_cast<const std::uint8_t*>(p);
-        return;
-      }
-      // mmap can fail on exotic filesystems; fall through to read().
-    }
-#endif
-    buf_.resize(size_);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("spool: cannot open " + path);
-    if (size_ > 0) {
-      in.read(reinterpret_cast<char*>(buf_.data()),
-              static_cast<std::streamsize>(size_));
-      if (static_cast<std::size_t>(in.gcount()) != size_) {
-        throw std::runtime_error("spool: short read: " + path);
-      }
-    }
-    data_ = buf_.data();
-  }
-
-  ~MappedFile() {
-#if P2PGEN_SPOOL_HAVE_MMAP
-    if (map_ != nullptr) ::munmap(map_, size_);
-#endif
-  }
-
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  const std::uint8_t* data() const noexcept { return data_; }
-  std::size_t size() const noexcept { return size_; }
-
- private:
-  void* map_ = nullptr;
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  std::vector<std::uint8_t> buf_;
-};
-
 /// Decodes one frame payload just far enough to learn its sim-time.
 /// Never throws: boundary-time inference must not turn a recoverable
 /// gap into a hard error.
@@ -113,6 +61,41 @@ bool probe_frame(const std::uint8_t* data, std::uint64_t size, std::uint64_t q,
 }
 
 }  // namespace
+
+SegmentBytes::SegmentBytes(const std::string& path) {
+  size_ = static_cast<std::size_t>(fs::file_size(path));
+#if P2PGEN_SPOOL_HAVE_MMAP
+  if (size_ > 0) {
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) throw std::runtime_error("spool: cannot open " + path);
+    void* p = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    if (p != MAP_FAILED) {
+      map_ = p;
+      data_ = static_cast<const std::uint8_t*>(p);
+      return;
+    }
+    // mmap can fail on exotic filesystems; fall through to read().
+  }
+#endif
+  buf_.resize(size_);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("spool: cannot open " + path);
+  if (size_ > 0) {
+    in.read(reinterpret_cast<char*>(buf_.data()),
+            static_cast<std::streamsize>(size_));
+    if (static_cast<std::size_t>(in.gcount()) != size_) {
+      throw std::runtime_error("spool: short read: " + path);
+    }
+  }
+  data_ = buf_.data();
+}
+
+SegmentBytes::~SegmentBytes() {
+#if P2PGEN_SPOOL_HAVE_MMAP
+  if (map_ != nullptr) ::munmap(map_, size_);
+#endif
+}
 
 std::string spool_segment_name(std::size_t index) {
   char buf[32];
@@ -150,14 +133,18 @@ std::vector<std::string> spool_segment_paths(const std::string& dir) {
   return paths;
 }
 
-SegmentReadResult read_spool_segment(const std::string& path,
-                                     bool allow_damage,
-                                     std::uint64_t* digest,
-                                     const SpoolPayloadFn& on_payload,
-                                     SpoolReadMode mode) {
-  const MappedFile file(path);
-  const std::uint8_t* data = file.data();
-  const std::uint64_t size = file.size();
+namespace {
+
+/// read_spool_segment() over `bytes`, the already-mapped contents of
+/// `path` (the name only labels errors and salvage ranges).
+SegmentReadResult read_mapped_segment(const std::string& path,
+                                      const SegmentBytes& bytes,
+                                      bool allow_damage,
+                                      std::uint64_t* digest,
+                                      const SpoolPayloadFn& on_payload,
+                                      SpoolReadMode mode) {
+  const std::uint8_t* data = bytes.data();
+  const std::uint64_t size = bytes.size();
   const bool salvage = mode == SpoolReadMode::kSalvage;
   constexpr std::uint64_t kFrameOverhead = 2 * sizeof(std::uint32_t);
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -334,6 +321,17 @@ SegmentReadResult read_spool_segment(const std::string& path,
   return out;
 }
 
+}  // namespace
+
+SegmentReadResult read_spool_segment(const std::string& path,
+                                     bool allow_damage,
+                                     std::uint64_t* digest,
+                                     const SpoolPayloadFn& on_payload,
+                                     SpoolReadMode mode) {
+  return read_mapped_segment(path, SegmentBytes(path), allow_damage, digest,
+                             on_payload, mode);
+}
+
 SpoolReader::SpoolReader(std::string dir, SpoolReadMode mode)
     : dir_(std::move(dir)), mode_(mode), segments_(spool_segment_paths(dir_)) {
   file_indices_.reserve(segments_.size());
@@ -367,16 +365,26 @@ std::vector<std::size_t> SpoolReader::missing_before(
   return missing;
 }
 
-SegmentReadResult SpoolReader::read_segment(
-    std::size_t index, const SpoolPayloadFn& on_payload) const {
+const std::string& SpoolReader::segment_path(std::size_t index) const {
   if (index >= segments_.size()) {
     throw std::out_of_range("SpoolReader: segment index " +
                             std::to_string(index) + " out of range");
   }
-  const std::string& path = segments_[index];
+  return segments_[index];
+}
+
+SegmentReadResult SpoolReader::read_segment(
+    std::size_t index, const SpoolPayloadFn& on_payload) const {
+  return read_segment(index, SegmentBytes(segment_path(index)), on_payload);
+}
+
+SegmentReadResult SpoolReader::read_segment(
+    std::size_t index, const SegmentBytes& bytes,
+    const SpoolPayloadFn& on_payload) const {
+  const std::string& path = segment_path(index);
   SegmentReadResult out =
-      read_spool_segment(path, /*allow_damage=*/true, nullptr, on_payload,
-                         mode_);
+      read_mapped_segment(path, bytes, /*allow_damage=*/true, nullptr,
+                          on_payload, mode_);
   const bool interior = index + 1 != segments_.size();
   if (out.torn && interior) {
     if (mode_ == SpoolReadMode::kStrict) {

@@ -23,7 +23,8 @@
 //
 // scan_spool()/read_spool() (trace/spool.hpp) are built on this reader,
 // and the streaming analysis (analysis/streaming.hpp) uses it directly
-// so paper-scale spools are read exactly once, segment-parallel.
+// so paper-scale spools are read exactly once, then decoded in parallel
+// chunks from the validated bytes.
 #pragma once
 
 #include <cstdint>
@@ -90,6 +91,28 @@ struct SegmentReadResult {
   double last_record_time = std::numeric_limits<double>::quiet_NaN();
 };
 
+/// A segment file's bytes: mmap'd when the platform allows, otherwise
+/// read into an owned buffer.  Either way the parse sees one flat span,
+/// and payloads handed out of a read over it point into that span for as
+/// long as the SegmentBytes lives.
+class SegmentBytes {
+ public:
+  explicit SegmentBytes(const std::string& path);
+  ~SegmentBytes();
+
+  SegmentBytes(const SegmentBytes&) = delete;
+  SegmentBytes& operator=(const SegmentBytes&) = delete;
+
+  const std::uint8_t* data() const noexcept { return data_; }
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  void* map_ = nullptr;
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::vector<std::uint8_t> buf_;
+};
+
 /// Reads `path` in one pass, CRC-validating each frame and feeding every
 /// valid payload to `on_payload` (may be null).  `digest`, when non-null,
 /// is FNV-1a-updated over the valid payloads in order.  With
@@ -108,8 +131,8 @@ SegmentReadResult read_spool_segment(const std::string& path,
 /// Validated-segment iterator over a whole spool directory.  Lists the
 /// segments on construction; read_segment() validates and decodes one
 /// segment in a single pass.  Distinct segments may be read concurrently
-/// (the reader holds no per-read state) — the deterministic merge in the
-/// streaming analysis decodes segments in parallel this way.
+/// (the reader holds no per-read state) — the streaming analysis reads
+/// segments on its decoder threads this way.
 class SpoolReader {
  public:
   /// Opens `dir` (created if missing).  No segment bytes are read yet.
@@ -144,7 +167,17 @@ class SpoolReader {
   SegmentReadResult read_segment(std::size_t index,
                                  const SpoolPayloadFn& on_payload) const;
 
+  /// read_segment() over `bytes`, which the caller mapped from
+  /// segment_paths()[index] and keeps: every payload handed to
+  /// `on_payload` stays valid for as long as `bytes` does, so a caller
+  /// can validate a segment once and decode its frames later.
+  SegmentReadResult read_segment(std::size_t index, const SegmentBytes& bytes,
+                                 const SpoolPayloadFn& on_payload) const;
+
  private:
+  /// segment_paths()[index]; std::out_of_range past the end.
+  const std::string& segment_path(std::size_t index) const;
+
   std::string dir_;
   SpoolReadMode mode_;
   std::vector<std::string> segments_;

@@ -27,6 +27,7 @@ constexpr std::size_t kMessageFixedBytes =
     1 + 8 + 8 + 1 + 1 + 1 + 8 + 4 + 1 + 4 + 4;
 // kind, time, session_id, reason
 constexpr std::size_t kEndFixedBytes = 1 + 8 + 8 + 1;
+static_assert(kRecordSessionIdOffset == sizeof(RecordKind) + sizeof(double));
 static_assert(kMessageFixedBytes + kMaxStringBytes == kMaxRecordBytes);
 static_assert(kStartFixedBytes <= kMessageFixedBytes);
 
@@ -77,16 +78,7 @@ class MemSource {
   }
 
   void get_bytes(void* out, std::size_t n) {
-    if (remaining() < n) {
-      offset_ = size_;
-      throw TraceIoError("trace: truncated record (needed " +
-                             std::to_string(n - remaining()) +
-                             " more byte(s)) at byte offset " +
-                             std::to_string(offset_),
-                         offset_);
-    }
-    std::memcpy(out, data_ + offset_, n);
-    offset_ += n;
+    std::memcpy(out, take(n), n);
   }
 
   template <typename T>
@@ -97,7 +89,10 @@ class MemSource {
     return value;
   }
 
-  std::string get_string() {
+  std::string get_string() { return std::string(get_string_view()); }
+
+  /// A string field's bytes, in place.
+  std::string_view get_string_view() {
     const auto at = offset_;
     const auto size = get_pod<std::uint32_t>();
     if (size > kMaxStringBytes) {
@@ -105,19 +100,35 @@ class MemSource {
                              " bytes) at byte offset " + std::to_string(at),
                          at);
     }
-    std::string s(size, '\0');
-    if (size > 0) get_bytes(s.data(), size);
-    return s;
+    return {reinterpret_cast<const char*>(take(size)), size};
   }
 
  private:
+  /// The next `n` bytes, consumed.
+  const std::uint8_t* take(std::size_t n) {
+    if (remaining() < n) {
+      offset_ = size_;
+      throw TraceIoError("trace: truncated record (needed " +
+                             std::to_string(n - remaining()) +
+                             " more byte(s)) at byte offset " +
+                             std::to_string(offset_),
+                         offset_);
+    }
+    const std::uint8_t* bytes = data_ + offset_;
+    offset_ += n;
+    return bytes;
+  }
+
   const std::uint8_t* data_;
   std::size_t size_;
   std::uint64_t offset_ = 0;
 };
 
 /// Decodes the fields of one record whose kind byte `in` has consumed.
-TraceEvent read_event(MemSource& in, RecordKind kind) {
+/// With `query` non-null a message's query stays empty and `query` views
+/// its bytes instead.
+TraceEvent read_event(MemSource& in, RecordKind kind,
+                      std::string_view* query = nullptr) {
   switch (kind) {
     case RecordKind::kSessionStart: {
       SessionStart s;
@@ -136,7 +147,11 @@ TraceEvent read_event(MemSource& in, RecordKind kind) {
       m.ttl = in.get_pod<std::uint8_t>();
       m.hops = in.get_pod<std::uint8_t>();
       m.guid_hash = in.get_pod<std::uint64_t>();
-      m.query = in.get_string();
+      if (query != nullptr) {
+        *query = in.get_string_view();
+      } else {
+        m.query = in.get_string();
+      }
       m.sha1 = in.get_pod<std::uint8_t>() != 0;
       m.source_ip = in.get_pod<std::uint32_t>();
       m.shared_files = in.get_pod<std::uint32_t>();
@@ -226,10 +241,16 @@ void append_header_binary(std::string& out) {
 }
 
 TraceEvent decode_event_binary(const std::uint8_t* data, std::size_t size) {
+  return decode_event_binary(data, size, nullptr);
+}
+
+TraceEvent decode_event_binary(const std::uint8_t* data, std::size_t size,
+                               std::string_view* query) {
   MemSource source(data, size);
   std::uint8_t kind_byte = 0;
   source.get_bytes(&kind_byte, 1);
-  TraceEvent event = read_event(source, static_cast<RecordKind>(kind_byte));
+  TraceEvent event =
+      read_event(source, static_cast<RecordKind>(kind_byte), query);
   if (source.remaining() != 0) {
     throw TraceIoError("trace: record carries " +
                            std::to_string(source.remaining()) +

@@ -17,6 +17,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -98,6 +99,10 @@ inline constexpr std::uint32_t kMaxStringBytes = 1u << 20;
 /// string of kMaxStringBytes.
 inline constexpr std::size_t kMaxRecordBytes = 41 + std::size_t{kMaxStringBytes};
 
+/// Byte offset of the 8-byte session id in every encoded record: each
+/// kind writes its kind byte, then its time, then its session id.
+inline constexpr std::size_t kRecordSessionIdOffset = 1 + 8;
+
 /// Appends the binary encoding of one event — exactly the record the
 /// stream format uses, without the stream header — to `out`.  The one
 /// record encoder: write_binary, binary_digest and the durable spool
@@ -121,6 +126,13 @@ using util::kFnvOffsetBasis;
 /// TraceIoError on malformed input or if the buffer holds trailing bytes
 /// beyond the one record.
 TraceEvent decode_event_binary(const std::uint8_t* data, std::size_t size);
+
+/// decode_event_binary() for a reader that needs a message's query only
+/// as bytes: `*query` views them inside `data` (left unchanged for other
+/// record kinds) and the returned event's query stays empty, which spares
+/// an allocation per message.
+TraceEvent decode_event_binary(const std::uint8_t* data, std::size_t size,
+                               std::string_view* query);
 
 /// CSV export (one row per event, header included).
 void write_csv(const Trace& trace, std::ostream& out);

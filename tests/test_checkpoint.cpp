@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -321,24 +322,55 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
   // whose torn tail the recovery scan has to deal with.
   durability.sync_interval_records = 256;
 
-  // Kill the durable run at randomized delays a few times in a row; each
-  // resume picks up whatever the previous victim left behind.
-  stats::Rng rng(7);
-  for (int round = 0; round < 3; ++round) {
+  // Forks a child that runs the durable simulation to completion unless
+  // the parent kills it first.  Any failure must not look like a pass.
+  const auto spawn = [&](const behavior::DurabilityConfig& target) {
     const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
     if (pid == 0) {
-      // Child: run to completion unless the parent kills us first.  Any
-      // failure must not look like a pass.
       try {
-        behavior::simulate_to_spools(model, config, 2, 2, durability);
+        behavior::simulate_to_spools(model, config, 2, 2, target);
         _exit(0);
       } catch (...) {
         _exit(1);
       }
     }
-    const unsigned delay_ms = 30 + static_cast<unsigned>(rng.next_u64() % 300);
-    ::usleep(delay_ms * 1000);
+    return pid;
+  };
+
+  // Time one uninterrupted run first: fixed delays either outlast a run
+  // on a fast host (the victim finishes, and the torn-tail and
+  // prefix-replay paths go untested) or kill it before it wrote anything
+  // on a slow one.
+  double run_ms = 0.0;
+  {
+    behavior::DurabilityConfig timed = durability;
+    timed.dir = fresh_dir("sigkill_timed");
+    const auto start = std::chrono::steady_clock::now();
+    const pid_t pid = spawn(timed);
+    ASSERT_GE(pid, 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    run_ms = std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - start)
+                 .count();
+    fs::remove_all(timed.dir);
+  }
+
+  // Kill the durable run at randomized points inside that run time a few
+  // times in a row; each resume picks up whatever the previous victim
+  // left behind.  A round whose victim left a shard unfinished, with
+  // records in its spool, hands the next run a partially written shard
+  // to resume.
+  stats::Rng rng(7);
+  int partial_rounds = 0;
+  bool last_round_partial = false;
+  for (int round = 0; round < 3; ++round) {
+    const pid_t pid = spawn(durability);
+    ASSERT_GE(pid, 0);
+    const auto delay_us =
+        static_cast<useconds_t>(run_ms * rng.uniform(0.2, 0.7) * 1000.0);
+    ::usleep(delay_us);
     ::kill(pid, SIGKILL);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
@@ -346,7 +378,24 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
     // valid starting states for a resume.
     ASSERT_TRUE(WIFSIGNALED(status) ||
                 (WIFEXITED(status) && WEXITSTATUS(status) == 0));
+    last_round_partial = false;
+    if (behavior::checkpoint_exists(dir) &&
+        !behavior::read_checkpoint_status(dir).complete) {
+      // Both shards start together, so an unfinished shard has written
+      // records whenever any spool holds some.
+      for (const auto& shard : behavior::checkpoint_shard_dirs(dir, 2)) {
+        if (!fs::exists(shard)) continue;
+        for (const auto& segment : trace::spool_segment_paths(shard)) {
+          if (fs::file_size(segment) > trace::kSpoolHeaderBytes) {
+            last_round_partial = true;
+          }
+        }
+      }
+    }
+    if (last_round_partial) ++partial_rounds;
   }
+  EXPECT_GT(partial_rounds, 0) << "no kill landed mid-run (uninterrupted run "
+                               << run_ms << " ms)";
 
   behavior::RecoverySummary summary;
   const trace::Trace resumed =
@@ -358,6 +407,12 @@ TEST(Checkpoint, SigkillAtRandomizedPointsThenResumeIsByteIdentical) {
   // construction (asserted structurally in test_spool, not re-counted
   // here).
   EXPECT_GT(summary.segments_scanned + summary.shards_completed_prior, 0u);
+  // The final resume starts from whatever the last victim left; when
+  // that was a partially written shard, its records are recovered, not
+  // simulated again from scratch.
+  if (last_round_partial) {
+    EXPECT_GT(summary.records_recovered, 0u);
+  }
 
   // And a second resume sees both shards complete.
   behavior::RecoverySummary again;

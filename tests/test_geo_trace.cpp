@@ -5,7 +5,9 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "geo/geoip.hpp"
@@ -358,6 +360,47 @@ TEST(RecordCodec, OversizedStringLengthThrows) {
               std::string::npos)
         << "event " << k;
     EXPECT_EQ(offset, at) << "event " << k;
+  }
+}
+
+TEST(RecordCodec, QueryViewDecodeLeavesTheQueryInPlace) {
+  for (const auto& event : pinned_events()) {
+    const std::string record = encode(event);
+    const auto* data = reinterpret_cast<const std::uint8_t*>(record.data());
+    std::string_view query = "untouched";
+    const trace::TraceEvent got =
+        trace::decode_event_binary(data, record.size(), &query);
+    trace::TraceEvent want = event;
+    if (auto* msg = std::get_if<trace::MessageEvent>(&want)) {
+      EXPECT_EQ(query, msg->query);
+      EXPECT_GE(query.data(), record.data());
+      EXPECT_LE(query.data() + query.size(), record.data() + record.size());
+      msg->query.clear();
+    } else {
+      EXPECT_EQ(query, "untouched");
+    }
+    EXPECT_EQ(got, want);
+    // Every kind keeps its session id at the same offset.
+    std::uint64_t id = 0;
+    std::memcpy(&id, record.data() + trace::kRecordSessionIdOffset, sizeof(id));
+    EXPECT_EQ(id, std::visit([](const auto& e) { return e.session_id; }, event));
+  }
+  // Damage inside the query fails exactly like the full decode.
+  const std::string record = encode(pinned_events()[1]);
+  for (std::size_t cut = 0; cut < record.size(); ++cut) {
+    const auto* data = reinterpret_cast<const std::uint8_t*>(record.data());
+    std::string_view query;
+    std::uint64_t offset = 0;
+    std::string what;
+    try {
+      (void)trace::decode_event_binary(data, cut, &query);
+    } catch (const trace::TraceIoError& e) {
+      what = e.what();
+      offset = e.byte_offset();
+    }
+    std::uint64_t want_offset = 0;
+    EXPECT_EQ(what, decode_error(record.substr(0, cut), &want_offset));
+    EXPECT_EQ(offset, want_offset);
   }
 }
 

@@ -70,6 +70,21 @@ TEST(Simulator, RejectsPastSchedulingAndNullHandlers) {
   EXPECT_THROW(sim.schedule_after(1.0, nullptr), std::invalid_argument);
 }
 
+TEST(Simulator, RejectsNaNTimes) {
+  // NaN compares false against every time, so a plain `at < now` check
+  // lets it through and the event fires first, with now() NaN.
+  const double nan = std::nan("");
+  Simulator sim;
+  std::vector<double> fired_at;
+  sim.schedule_at(1.0, [&] { fired_at.push_back(sim.now()); });
+  EXPECT_THROW(sim.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_after(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_in_order(nan, [] {}), std::invalid_argument);
+  sim.run();
+  EXPECT_EQ(fired_at, (std::vector<double>{1.0}));
+  EXPECT_EQ(sim.executed(), 1u);
+}
+
 TEST(Simulator, CancelOfFiredIdIsANoOp) {
   Simulator sim;
   int fired = 0;

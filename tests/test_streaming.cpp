@@ -286,6 +286,75 @@ void truncate_file(const std::string& path, std::uintmax_t drop_bytes) {
   fs::resize_file(path, size - drop_bytes);
 }
 
+/// XORs one byte of `path` in place.
+void flip_file_byte(const std::string& path, std::uint64_t offset,
+                    unsigned char mask) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good()) << path;
+  file.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  file.get(byte);
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.put(static_cast<char>(byte ^ mask));
+  ASSERT_TRUE(file.good()) << path;
+}
+
+/// Byte offset of frame `n` of a spool segment, walked from the length
+/// headers (frame size through `frame_size`).
+std::uint64_t nth_frame_offset(const std::string& segment_path, std::size_t n,
+                               std::uint64_t* frame_size) {
+  std::ifstream in(segment_path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::uint64_t pos = trace::kSpoolHeaderBytes;
+  for (std::size_t i = 0;; ++i) {
+    EXPECT_LE(pos + 8, bytes.size());
+    std::uint32_t len = 0;
+    std::memcpy(&len, bytes.data() + pos, sizeof(len));
+    if (i == n) {
+      if (frame_size != nullptr) *frame_size = 8 + len;
+      return pos;
+    }
+    pos += 8 + len;
+  }
+}
+
+/// Makes frame `frame_offset` of `path` CRC-valid but undecodable: its
+/// record kind becomes one no decoder knows, and its CRC is fixed up.
+void make_frame_undecodable(const std::string& path,
+                            std::uint64_t frame_offset) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(file.good()) << path;
+  char header[8];
+  file.seekg(static_cast<std::streamoff>(frame_offset));
+  file.read(header, sizeof(header));
+  std::uint32_t len = 0;
+  std::memcpy(&len, header, sizeof(len));
+  std::string payload(len, '\0');
+  file.read(payload.data(), len);
+  payload[0] = '\x7f';
+  const std::uint32_t crc = trace::crc32(payload.data(), payload.size());
+  std::memcpy(header + sizeof(len), &crc, sizeof(crc));
+  file.seekp(static_cast<std::streamoff>(frame_offset));
+  file.write(header, sizeof(header));
+  file.write(payload.data(), len);
+  ASSERT_TRUE(file.good()) << path;
+}
+
+/// The TraceIoError message analyze_spools fails with at `threads`, or ""
+/// when it does not fail that way.
+std::string strict_failure(const std::string& dir, unsigned threads) {
+  analysis::StreamingOptions options;
+  options.threads = threads;
+  try {
+    (void)analysis::analyze_spools({dir}, geo::GeoIpDatabase::synthetic(),
+                                   options);
+  } catch (const trace::TraceIoError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Streaming, TornTailIsTruncatedExactlyLikeReadSpool) {
   const std::string dir = fresh_dir("torn");
   spool_trace(synthetic_trace(64, 7), dir, 16);
@@ -325,6 +394,33 @@ TEST(Streaming, InteriorSegmentDamageIsAHardErrorLikeReadSpool) {
                  trace::TraceIoError);
   }
   fs::remove_all(dir);
+
+  // Damage in a later chunk of an interior segment: a checksum mismatch,
+  // which the segment's read finds, and a CRC-valid frame that does not
+  // decode, which only that chunk's decode finds.  Either fails the pass
+  // with the same error at every thread count, like read_spool.
+  constexpr std::size_t kChunk = analysis::kDecodeChunkRecords;
+  for (const bool crc_valid : {false, true}) {
+    SCOPED_TRACE(crc_valid ? "undecodable frame" : "checksum mismatch");
+    const std::string later = fresh_dir("interior_later_chunk");
+    spool_trace(synthetic_trace(9000, 11), later, kChunk * 5 / 2);
+    const auto pieces = segment_paths(later);
+    ASSERT_GT(pieces.size(), 2u);
+    const std::uint64_t frame = nth_frame_offset(pieces[1], kChunk + 10, nullptr);
+    if (crc_valid) {
+      make_frame_undecodable(pieces[1], frame);
+    } else {
+      flip_file_byte(pieces[1], frame + 12, 0x20);
+    }
+    EXPECT_THROW(trace::read_spool(later), trace::TraceIoError);
+    const std::string want = strict_failure(later, 1);
+    EXPECT_NE(want, "");
+    for (const unsigned threads : {2u, 8u}) {
+      EXPECT_EQ(strict_failure(later, threads), want)
+          << threads << " threads";
+    }
+    fs::remove_all(later);
+  }
 }
 
 TEST(Streaming, MoreThreadsThanSegmentsMatchesReadSpool) {
@@ -340,7 +436,7 @@ TEST(Streaming, MoreThreadsThanSegmentsMatchesReadSpool) {
       {dir}, geo::GeoIpDatabase::synthetic(), options);
   expect_streaming_matches(got, want);
   EXPECT_EQ(got.streaming.segments_read, 3u);
-  EXPECT_LE(got.streaming.max_decoded_segments, 2u);
+  EXPECT_LE(got.streaming.max_decoded_chunks, 2u);
   fs::remove_all(dir);
 }
 
@@ -369,40 +465,66 @@ TEST(Streaming, ShardRecordCountsAreCheckedInStrictModeOnly) {
   fs::remove_all(dir);
 }
 
-TEST(Streaming, DecodedSegmentsStayWithinTwoPerShard) {
-  // Three shards of ~20 small segments each, interleaved in time, so the
-  // merge hops between shards and every queue refills many times.
+TEST(Streaming, DecodedChunksStayWithinTwoPerShard) {
+  // Three shards interleaved in time, so the merge hops between shards and
+  // every queue refills many times.  Two spool layouts: ~20 segments far
+  // shorter than one chunk each, and segments of one and a half chunks
+  // (chunks split them unevenly) ending in a segment shorter than a chunk.
   constexpr std::size_t kShards = 3;
-  const std::string root = fresh_dir("many_segments");
-  std::vector<std::string> dirs;
-  std::vector<trace::Trace> loaded;
-  for (std::size_t k = 0; k < kShards; ++k) {
-    dirs.push_back(root + "/shard-" + std::to_string(k));
-    spool_trace(synthetic_trace(64, 17 + k), dirs.back(), 16);
-    ASSERT_GT(segment_paths(dirs.back()).size(), 10u);
-    loaded.push_back(trace::read_spool(dirs.back()));
-  }
-  const Materialized want = materialize(trace::merge_traces(std::move(loaded)));
-
-  std::uint64_t segments = 0;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    analysis::StreamingOptions options;
-    options.threads = threads;
-    const auto got = analysis::analyze_spools(
-        dirs, geo::GeoIpDatabase::synthetic(), options);
-    expect_streaming_matches(got, want);
-    EXPECT_LE(got.streaming.max_decoded_segments, 2 * kShards);
-    if (threads == 1) {
-      // Inline decode frees each segment before taking the next.
-      EXPECT_EQ(got.streaming.max_decoded_segments, kShards);
-      segments = got.streaming.segments_read;
-    } else {
-      EXPECT_GE(got.streaming.max_decoded_segments, kShards);
-      EXPECT_EQ(got.streaming.segments_read, segments);
+  constexpr std::size_t kChunk = analysis::kDecodeChunkRecords;
+  struct Layout {
+    std::size_t sessions;
+    std::uint64_t segment_records;
+    std::size_t records;  // events spooled per shard; 0: the whole trace
+  };
+  const Layout layouts[] = {
+      {64, 16, 0},
+      {12000, kChunk * 3 / 2, 4 * (kChunk * 3 / 2) + kChunk / 3},
+  };
+  for (const Layout& layout : layouts) {
+    SCOPED_TRACE(std::to_string(layout.segment_records) + "-record segments");
+    const std::string root = fresh_dir("many_segments");
+    std::vector<std::string> dirs;
+    std::vector<trace::Trace> loaded;
+    std::uint64_t segment_files = 0;
+    for (std::size_t k = 0; k < kShards; ++k) {
+      dirs.push_back(root + "/shard-" + std::to_string(k));
+      trace::Trace trace = synthetic_trace(layout.sessions, 17 + k);
+      if (layout.records != 0) {
+        ASSERT_GE(trace.size(), layout.records);
+        trace::Trace prefix;
+        for (std::size_t i = 0; i < layout.records; ++i) {
+          prefix.append(trace.events()[i]);
+        }
+        trace = std::move(prefix);
+      }
+      spool_trace(trace, dirs.back(), layout.segment_records);
+      const std::size_t segments = segment_paths(dirs.back()).size();
+      ASSERT_GT(segments, 3u);
+      segment_files += segments;
+      loaded.push_back(trace::read_spool(dirs.back()));
     }
+    const Materialized want =
+        materialize(trace::merge_traces(std::move(loaded)));
+
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      analysis::StreamingOptions options;
+      options.threads = threads;
+      const auto got = analysis::analyze_spools(
+          dirs, geo::GeoIpDatabase::synthetic(), options);
+      expect_streaming_matches(got, want);
+      EXPECT_EQ(got.streaming.segments_read, segment_files);
+      EXPECT_LE(got.streaming.max_decoded_chunks, 2 * kShards);
+      if (threads == 1) {
+        // Inline decode frees each chunk before taking the next.
+        EXPECT_EQ(got.streaming.max_decoded_chunks, kShards);
+      } else {
+        EXPECT_GE(got.streaming.max_decoded_chunks, kShards);
+      }
+    }
+    fs::remove_all(root);
   }
-  fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------
@@ -446,39 +568,6 @@ TEST(Streaming, ExceedingTheTrackedSessionCapThrows) {
 // ---------------------------------------------------------------------------
 // Salvage mode (DESIGN.md §14): gap-aware one-pass analysis.
 
-/// XORs one byte of `path` in place.
-void flip_file_byte(const std::string& path, std::uint64_t offset,
-                    unsigned char mask) {
-  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-  ASSERT_TRUE(file.good()) << path;
-  file.seekg(static_cast<std::streamoff>(offset));
-  char byte = 0;
-  file.get(byte);
-  file.seekp(static_cast<std::streamoff>(offset));
-  file.put(static_cast<char>(byte ^ mask));
-  ASSERT_TRUE(file.good()) << path;
-}
-
-/// Byte offset of frame `n` of a spool segment, walked from the length
-/// headers (frame size through `frame_size`).
-std::uint64_t nth_frame_offset(const std::string& segment_path, std::size_t n,
-                               std::uint64_t* frame_size) {
-  std::ifstream in(segment_path, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  std::uint64_t pos = trace::kSpoolHeaderBytes;
-  for (std::size_t i = 0;; ++i) {
-    EXPECT_LE(pos + 8, bytes.size());
-    std::uint32_t len = 0;
-    std::memcpy(&len, bytes.data() + pos, sizeof(len));
-    if (i == n) {
-      if (frame_size != nullptr) *frame_size = 8 + len;
-      return pos;
-    }
-    pos += 8 + len;
-  }
-}
-
 void expect_salvage_reports_equal(const trace::SalvageReport& got,
                                   const trace::SalvageReport& want) {
   EXPECT_EQ(got.records_recovered, want.records_recovered);
@@ -498,6 +587,33 @@ void expect_salvage_reports_equal(const trace::SalvageReport& got,
     EXPECT_EQ(a.time_before, b.time_before) << "range " << i;
     EXPECT_EQ(a.time_after, b.time_after) << "range " << i;
   }
+}
+
+/// Materialized gap-censored oracle: every shard read with
+/// read_spool_salvage (reports tagged by shard, merged in shard order
+/// into `salvage`), the dataset censored against the recovered gap
+/// windows.
+Materialized salvage_oracle(const std::vector<std::string>& spool_dirs,
+                            trace::SalvageReport& salvage) {
+  std::vector<trace::Trace> shards;
+  for (unsigned k = 0; k < spool_dirs.size(); ++k) {
+    trace::SalvageReport report;
+    shards.push_back(trace::read_spool_salvage(spool_dirs[k], &report));
+    salvage.merge_shard(std::move(report), k);
+  }
+  const trace::Trace salvaged = trace::merge_traces(std::move(shards));
+  analysis::TraceDataset dataset =
+      analysis::build_dataset(salvaged, geo::GeoIpDatabase::synthetic());
+  const analysis::GapIndex gaps(salvage);
+  analysis::censor_dataset(dataset, gaps, salvage);
+  Materialized want;
+  want.stats = salvaged.stats();
+  want.digest = trace::binary_digest(salvaged);
+  want.events = salvaged.size();
+  want.filters = analysis::apply_filters(dataset);
+  want.measures = analysis::session_measures(dataset);
+  want.model = analysis::fit_workload_model(dataset);
+  return want;
 }
 
 TEST(StreamingSalvage, CleanSpoolSalvagePassIsBitIdenticalToStrict) {
@@ -548,30 +664,10 @@ TEST(StreamingSalvage, MatchesMaterializedGapCensoredAnalysisOnDamage) {
       analysis::analyze_spools(spool_dirs, geo::GeoIpDatabase::synthetic()),
       std::runtime_error);
 
-  // Materialized gap-censored oracle: every shard of the SAME checkpoint
-  // read with read_spool_salvage (reports tagged by shard, merged in
-  // shard order), dataset censored against the recovered gap windows.
   trace::SalvageReport want_salvage;
-  std::vector<trace::Trace> shards;
-  for (unsigned k = 0; k < spool_dirs.size(); ++k) {
-    trace::SalvageReport report;
-    shards.push_back(trace::read_spool_salvage(spool_dirs[k], &report));
-    want_salvage.merge_shard(std::move(report), k);
-  }
-  const trace::Trace salvaged = trace::merge_traces(std::move(shards));
+  const Materialized want = salvage_oracle(spool_dirs, want_salvage);
   ASSERT_TRUE(want_salvage.damaged());
-  analysis::TraceDataset dataset =
-      analysis::build_dataset(salvaged, geo::GeoIpDatabase::synthetic());
-  const analysis::GapIndex gaps(want_salvage);
-  analysis::censor_dataset(dataset, gaps, want_salvage);
   EXPECT_GT(want_salvage.censored_sessions, 0u);
-  Materialized want;
-  want.stats = salvaged.stats();
-  want.digest = trace::binary_digest(salvaged);
-  want.events = salvaged.size();
-  want.filters = analysis::apply_filters(dataset);
-  want.measures = analysis::session_measures(dataset);
-  want.model = analysis::fit_workload_model(dataset);
 
   for (const unsigned threads : {1u, 2u, 8u}) {
     analysis::StreamingOptions options;
@@ -584,6 +680,41 @@ TEST(StreamingSalvage, MatchesMaterializedGapCensoredAnalysisOnDamage) {
     expect_salvage_reports_equal(got.salvage, want_salvage);
   }
   fs::remove_all(dir);
+}
+
+TEST(StreamingSalvage, DamageInALaterChunkMatchesMaterialized) {
+  // Segments of two and a half chunks; one corrupted payload byte in the
+  // second chunk of shard 0's interior segment 1, an undecodable but
+  // CRC-valid frame in the third chunk of shard 1's segment 0.
+  constexpr std::size_t kChunk = analysis::kDecodeChunkRecords;
+  const std::string root = fresh_dir("salvage_later_chunk");
+  std::vector<std::string> dirs;
+  for (std::size_t k = 0; k < 2; ++k) {
+    dirs.push_back(root + "/shard-" + std::to_string(k));
+    spool_trace(synthetic_trace(9000, 23 + k), dirs.back(), kChunk * 5 / 2);
+    ASSERT_GT(segment_paths(dirs.back()).size(), 2u);
+  }
+  const std::string first = segment_paths(dirs[0])[1];
+  flip_file_byte(first, nth_frame_offset(first, kChunk + 10, nullptr) + 12,
+                 0x20);
+  const std::string second = segment_paths(dirs[1])[0];
+  make_frame_undecodable(second, nth_frame_offset(second, 2 * kChunk + 5,
+                                                  nullptr));
+
+  trace::SalvageReport want_salvage;
+  const Materialized want = salvage_oracle(dirs, want_salvage);
+  ASSERT_EQ(want_salvage.ranges.size(), 2u);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    analysis::StreamingOptions options;
+    options.threads = threads;
+    options.salvage = true;
+    const auto got = analysis::analyze_spools(
+        dirs, geo::GeoIpDatabase::synthetic(), options);
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    expect_streaming_matches(got, want);
+    expect_salvage_reports_equal(got.salvage, want_salvage);
+  }
+  fs::remove_all(root);
 }
 
 /// Concurrent long-lived sessions: 8 sessions all open for the whole
