@@ -51,11 +51,12 @@ int main() {
             << std::setw(18) << "trace digest" << std::setw(7) << "green"
             << "\n";
   for (const auto& o : outcomes) {
+    const auto& t = o.totals;
     std::cout << std::left << std::setw(24) << o.name << std::right
-              << std::setw(10) << o.events << std::setw(9) << o.peers_spawned
-              << std::setw(9) << o.outage_crashes << std::setw(9)
-              << o.shed_connections << std::setw(9) << o.shed_queries
-              << std::setw(9) << o.replenish_spawns << std::setw(18)
+              << std::setw(10) << t.events << std::setw(9) << t.peers_spawned
+              << std::setw(9) << t.outage_crashes << std::setw(9)
+              << t.shed_connections << std::setw(9) << t.shed_queries
+              << std::setw(9) << t.replenish_spawns << std::setw(18)
               << std::hex << o.trace_digest << std::dec << std::setw(7)
               << (o.green() ? "yes" : "NO") << "\n";
     for (const auto& violation : o.violations) {

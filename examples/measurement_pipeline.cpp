@@ -89,7 +89,8 @@
 // Pass shards > 1 to run that many independently-seeded replica
 // measurements (each `days` long) merged into one trace — DESIGN.md §7 —
 // on up to `threads` threads (default: hardware concurrency).  The
-// merged trace is byte-identical for any thread count.
+// merged trace is byte-identical for any thread count.  The default, one
+// shard, is the same run with n = 1, in memory or with --checkpoint-dir.
 //
 // An unknown --flag, a days or rate that is not a positive number, a
 // third argument other than faults/1/none/0, or a shards or threads
@@ -105,7 +106,6 @@
 #include <iomanip>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -126,6 +126,7 @@
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
 #include "scenario/curated.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace_io.hpp"
@@ -383,13 +384,6 @@ int main(int argc, char** argv) {
   // Salvage loss accounting of the streaming pass (empty without
   // --salvage or with a clean checkpoint).
   trace::SalvageReport salvage_report;
-  // Snapshot before any simulation runs: the robustness rows below are
-  // read as a delta against this baseline, so they count only what THIS
-  // run's shards published (not whatever else shares the registry).
-  const obs::MetricsSnapshot pre_sim_snapshot = obs::Registry::global().snapshot();
-  // The single-vantage-point path keeps the full per-node robustness
-  // counters, which a merged multi-shard trace no longer has one node for.
-  std::unique_ptr<behavior::TraceSimulation> simulation;
   std::optional<analysis::StreamingResult> streaming;
   if (!durability.dir.empty()) {
     behavior::RecoverySummary recovery;
@@ -436,7 +430,7 @@ int main(int argc, char** argv) {
               << " chunk(s) decoded at once, max open sessions "
               << streaming->streaming.max_open_sessions << " (tracked "
               << streaming->streaming.max_tracked_sessions << ")\n";
-  } else if (shards > 1) {
+  } else {
     trace = behavior::simulate_trace_sharded(core::WorkloadModel::paper_default(),
                                              config, shards, threads,
                                              &shard_stats, &qtrace, &timeline);
@@ -444,28 +438,6 @@ int main(int argc, char** argv) {
       std::cout << "  shard " << k << ": seed " << shard_stats[k].seed << ", "
                 << shard_stats[k].events << " events, "
                 << shard_stats[k].peers_spawned << " peers\n";
-    }
-  } else {
-    simulation = std::make_unique<behavior::TraceSimulation>(
-        core::WorkloadModel::paper_default(), config, trace);
-    simulation->run();
-    // The sharded path publishes per-shard; the single-vantage-point
-    // path owns its one simulation and publishes it here.
-    simulation->publish_metrics();
-    if (config.qtrace.sample_rate > 0.0) {
-      // One shard's buffer still goes through the merge so the stream
-      // carries the same (time, shard) ordering guarantees as n > 1.
-      std::vector<std::vector<obs::QueryHopEvent>> buffers;
-      buffers.push_back(simulation->take_qtrace());
-      qtrace = obs::merge_qtrace(std::move(buffers));
-      obs::publish_qtrace_metrics(qtrace);
-    }
-    if (config.timeline.tick_seconds > 0.0) {
-      // Same single-buffer merge for the timeline ticks.
-      std::vector<std::vector<obs::TimelinePoint>> buffers;
-      buffers.push_back(simulation->take_timeline());
-      timeline = obs::merge_timeline(std::move(buffers));
-      obs::publish_timeline_metrics(timeline);
     }
   }
 
@@ -517,49 +489,8 @@ int main(int argc, char** argv) {
 
   // The pipeline report wants the robustness rows whether or not faults
   // were injected (on a clean overlay they are simply zero).
-  analysis::RobustnessReport robustness;
-  if (simulation) {
-    robustness.injected = simulation->fault_counters();
-    robustness.transport_delivered = simulation->network().messages_delivered();
-    robustness.transport_dropped = simulation->network().messages_dropped();
-    robustness.decode_errors = simulation->node().decode_errors();
-    robustness.clean_bytes_before_error =
-        simulation->node().clean_bytes_before_error();
-    robustness.forward_retries = simulation->node().forward_retries();
-    robustness.forward_retries_exhausted =
-        simulation->node().forward_retries_exhausted();
-    robustness.shed_connections = simulation->node().shed_connections();
-    robustness.shed_queries = simulation->node().shed_queries();
-    robustness.outage_crashes = simulation->outage_crashes();
-  } else {
-    for (const auto& s : shard_stats) {
-      robustness.injected.messages_lost += s.faults.messages_lost;
-      robustness.injected.messages_corrupted += s.faults.messages_corrupted;
-      robustness.injected.messages_duplicated += s.faults.messages_duplicated;
-      robustness.injected.messages_delayed += s.faults.messages_delayed;
-      robustness.injected.node_crashes += s.faults.node_crashes;
-      robustness.injected.half_open_links += s.faults.half_open_links;
-      robustness.injected.sends_into_dead_link += s.faults.sends_into_dead_link;
-      robustness.shed_connections += s.shed_connections;
-      robustness.shed_queries += s.shed_queries;
-      robustness.outage_crashes += s.outage_crashes;
-    }
-    // ShardStats only carries fault counters; the transport and node
-    // totals of the merged run come from the metrics registry, where
-    // every shard's simulation published them.  Read as a delta against
-    // the pre-simulation baseline so only this run's contribution counts.
-    const auto snapshot = obs::Registry::global().delta(pre_sim_snapshot);
-    robustness.transport_delivered =
-        snapshot.counter_value("transport.messages_delivered");
-    robustness.transport_dropped =
-        snapshot.counter_value("transport.messages_dropped");
-    robustness.decode_errors = snapshot.counter_value("node.decode_errors");
-    robustness.clean_bytes_before_error =
-        snapshot.counter_value("node.clean_bytes_before_error");
-    robustness.forward_retries = snapshot.counter_value("node.forward_retries");
-    robustness.forward_retries_exhausted =
-        snapshot.counter_value("node.forward_retries_exhausted");
-  }
+  analysis::RobustnessReport robustness =
+      scenario::robustness_rows(behavior::sum_shard_stats(shard_stats));
   if (streaming) {
     // The streaming pass already counted every SessionEnd by reason —
     // exactly what add_trace() derives from a materialized trace.

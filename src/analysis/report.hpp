@@ -44,9 +44,9 @@ FigureExport export_figure_data(const TraceDataset& dataset,
 
 /// Fault / robustness counters of a measurement run: what the fault layer
 /// injected (sim::FaultCounters), how the measurement node coped, and the
-/// session-end-reason mix the trace recorded.  Consumers fill the
-/// transport and node rows from TraceSimulation / MeasurementNode
-/// accessors and derive the end mix with add_trace().
+/// session-end-reason mix the trace recorded.  scenario::robustness_rows
+/// fills every row but the end mix from the shards' summed counters;
+/// add_trace() derives the end mix.
 struct RobustnessReport {
   // Injected by the fault layer.
   sim::FaultCounters injected;

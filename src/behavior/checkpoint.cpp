@@ -699,7 +699,7 @@ std::vector<std::string> simulate_to_spools(
       DurableSink sink(*writer, index,
                        heartbeat != nullptr ? &heartbeat->shard(k) : nullptr,
                        &stop.requested);
-      simulate_shard_into(model, base, index, sink, &shard_stats[k]);
+      simulate_shard(model, base, index, sink, &shard_stats[k]);
       writer->close();  // final fsync: the shard's redo log is complete
       // The sidecars are durable before the manifest marks the shard
       // done, so a done shard always has its (possibly empty) qtrace and

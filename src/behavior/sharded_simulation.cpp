@@ -20,9 +20,15 @@ void fill_stats(ShardStats& stats, TraceSimulation& simulation,
   stats.peers_spawned = simulation.peers_spawned();
   stats.events = events;
   stats.faults = simulation.fault_counters();
+  stats.transport_delivered = simulation.network().messages_delivered();
+  stats.transport_dropped = simulation.network().messages_dropped();
   stats.outage_crashes = simulation.outage_crashes();
   stats.outage_crashes_by_region = simulation.outage_crashes_by_region();
   const MeasurementNode& node = simulation.node();
+  stats.decode_errors = node.decode_errors();
+  stats.clean_bytes_before_error = node.clean_bytes_before_error();
+  stats.forward_retries = node.forward_retries();
+  stats.forward_retries_exhausted = node.forward_retries_exhausted();
   stats.shed_connections = node.shed_connections();
   stats.shed_queries = node.shed_queries();
   stats.probe_closed_sessions = node.probe_closed_sessions();
@@ -40,32 +46,14 @@ std::uint64_t shard_seed(std::uint64_t master_seed,
   return stats::derive_stream_seed(master_seed, kShardStreamTag + shard_index);
 }
 
-trace::Trace simulate_shard(const core::WorkloadModel& model,
-                            const TraceSimulationConfig& base,
-                            unsigned shard_index, ShardStats* stats) {
+void simulate_shard(const core::WorkloadModel& model,
+                    const TraceSimulationConfig& base, unsigned shard_index,
+                    trace::TraceSink& sink, ShardStats* stats) {
   obs::ObsSpan span("sim.shard");
   TraceSimulationConfig config = base;
   config.seed = shard_seed(base.seed, shard_index);
 
-  trace::Trace trace;
-  TraceSimulation simulation(model, config, trace);
-  simulation.run();
-  simulation.publish_metrics();
-
-  if (stats != nullptr) fill_stats(*stats, simulation, config.seed, trace.size());
-  return trace;
-}
-
-void simulate_shard_into(const core::WorkloadModel& model,
-                         const TraceSimulationConfig& base,
-                         unsigned shard_index, trace::TraceSink& sink,
-                         ShardStats* stats) {
-  obs::ObsSpan span("sim.shard");
-  TraceSimulationConfig config = base;
-  config.seed = shard_seed(base.seed, shard_index);
-
-  // Counts events on the way through so ShardStats.events matches the
-  // buffered path (a plain sink has no size()).
+  // Counts events on the way through: a plain sink has no size().
   struct CountingSink final : trace::TraceSink {
     explicit CountingSink(trace::TraceSink& wrapped) : inner(wrapped) {}
     void on_event(const trace::TraceEvent& event) override {
@@ -80,7 +68,43 @@ void simulate_shard_into(const core::WorkloadModel& model,
   simulation.run();
   simulation.publish_metrics();
 
-  if (stats != nullptr) fill_stats(*stats, simulation, config.seed, counting.events);
+  if (stats != nullptr) {
+    fill_stats(*stats, simulation, config.seed, counting.events);
+  }
+}
+
+ShardStats sum_shard_stats(const std::vector<ShardStats>& shards) {
+  ShardStats sum;
+  for (const ShardStats& s : shards) {
+    sum.peers_spawned += s.peers_spawned;
+    sum.events += s.events;
+    sum.faults.messages_lost += s.faults.messages_lost;
+    sum.faults.messages_corrupted += s.faults.messages_corrupted;
+    sum.faults.messages_duplicated += s.faults.messages_duplicated;
+    sum.faults.messages_delayed += s.faults.messages_delayed;
+    sum.faults.node_crashes += s.faults.node_crashes;
+    sum.faults.half_open_links += s.faults.half_open_links;
+    sum.faults.sends_into_dead_link += s.faults.sends_into_dead_link;
+    sum.transport_delivered += s.transport_delivered;
+    sum.transport_dropped += s.transport_dropped;
+    sum.decode_errors += s.decode_errors;
+    sum.clean_bytes_before_error += s.clean_bytes_before_error;
+    sum.forward_retries += s.forward_retries;
+    sum.forward_retries_exhausted += s.forward_retries_exhausted;
+    sum.outage_crashes += s.outage_crashes;
+    for (std::size_t r = 0; r < geo::kRegionCount; ++r) {
+      sum.outage_crashes_by_region[r] += s.outage_crashes_by_region[r];
+    }
+    sum.shed_connections += s.shed_connections;
+    sum.shed_queries += s.shed_queries;
+    sum.probe_closed_sessions += s.probe_closed_sessions;
+    sum.replenish_scheduled += s.replenish_scheduled;
+    sum.replenish_spawns += s.replenish_spawns;
+    for (std::size_t r = 0; r < sum.session_ends.size(); ++r) {
+      sum.session_ends[r] += s.session_ends[r];
+    }
+  }
+  return sum;
 }
 
 trace::Trace simulate_trace_sharded(const core::WorkloadModel& model,
@@ -100,8 +124,8 @@ trace::Trace simulate_trace_sharded(const core::WorkloadModel& model,
   // below is what pins the output ordering.
   util::ThreadPool pool(std::min(n_threads, n_shards));
   pool.run_indexed(n_shards, [&](std::size_t k) {
-    shards[k] = simulate_shard(model, base, static_cast<unsigned>(k),
-                               &shard_stats[k]);
+    simulate_shard(model, base, static_cast<unsigned>(k), shards[k],
+                   &shard_stats[k]);
   });
   util::publish_pool_stats("pool.sim", pool.stats());
   obs::Registry::global().counter("sim.shards_run").add(n_shards);

@@ -37,6 +37,15 @@ struct ShardStats {
   std::uint64_t events = 0;         ///< trace events the shard emitted
   sim::FaultCounters faults{};      ///< the shard's fault-layer counters
 
+  // Transport totals and measurement-node hardening counters — the
+  // transport and node rows of analysis::RobustnessReport.
+  std::uint64_t transport_delivered = 0;
+  std::uint64_t transport_dropped = 0;
+  std::uint64_t decode_errors = 0;
+  std::uint64_t clean_bytes_before_error = 0;
+  std::uint64_t forward_retries = 0;
+  std::uint64_t forward_retries_exhausted = 0;
+
   // Scenario-layer and degradation counters (all zero when the scenario
   // layer is off) — the scenario runner's invariant checks sum these
   // across shards and compare them against the merged-trace analysis.
@@ -69,20 +78,17 @@ std::uint64_t shard_seed(std::uint64_t master_seed,
                          unsigned shard_index) noexcept;
 
 /// Runs one replica shard: `base` with its seed replaced by
-/// shard_seed(base.seed, shard_index).  Deterministic in
+/// shard_seed(base.seed, shard_index), streaming its events into `sink`
+/// (pass a trace::Trace to buffer them; the durable-checkpoint path of
+/// trace/spool.hpp passes a per-shard redo log).  Deterministic in
 /// (model, base, shard_index); usable on any thread.
-trace::Trace simulate_shard(const core::WorkloadModel& model,
-                            const TraceSimulationConfig& base,
-                            unsigned shard_index, ShardStats* stats = nullptr);
+void simulate_shard(const core::WorkloadModel& model,
+                    const TraceSimulationConfig& base, unsigned shard_index,
+                    trace::TraceSink& sink, ShardStats* stats = nullptr);
 
-/// Runs one replica shard streaming its events into `sink` instead of
-/// buffering a Trace — the durable-checkpoint path (trace/spool.hpp)
-/// appends each event to a per-shard redo log as it is emitted.  Event
-/// order and content are identical to simulate_shard's.
-void simulate_shard_into(const core::WorkloadModel& model,
-                         const TraceSimulationConfig& base,
-                         unsigned shard_index, trace::TraceSink& sink,
-                         ShardStats* stats = nullptr);
+/// Counter-wise sum of `shards`: every counter of the result is the sum
+/// over the shards; seed, qtrace and timeline are left empty.
+ShardStats sum_shard_stats(const std::vector<ShardStats>& shards);
 
 /// Runs `n_shards` replica shards on up to `n_threads` threads and merges
 /// their traces (see file comment for the determinism contract).  Each

@@ -11,7 +11,6 @@
 #include "analysis/dataset.hpp"
 #include "analysis/model_fit.hpp"
 #include "behavior/sharded_simulation.hpp"
-#include "obs/metrics.hpp"
 #include "trace/trace_io.hpp"
 
 namespace p2pgen::scenario {
@@ -21,12 +20,6 @@ std::string hex_digest(std::uint64_t digest) {
   std::ostringstream out;
   out << std::hex << std::setfill('0') << std::setw(16) << digest;
   return out.str();
-}
-
-std::uint64_t counter_delta(const obs::MetricsSnapshot& before,
-                            const obs::MetricsSnapshot& after,
-                            const std::string& name) {
-  return after.counter_value(name) - before.counter_value(name);
 }
 
 void json_escape(std::ostream& out, const std::string& s) {
@@ -60,6 +53,21 @@ behavior::TraceSimulationConfig base_config(const RunConfig& run) {
   return config;
 }
 
+analysis::RobustnessReport robustness_rows(const behavior::ShardStats& totals) {
+  analysis::RobustnessReport rows;
+  rows.injected = totals.faults;
+  rows.transport_delivered = totals.transport_delivered;
+  rows.transport_dropped = totals.transport_dropped;
+  rows.decode_errors = totals.decode_errors;
+  rows.clean_bytes_before_error = totals.clean_bytes_before_error;
+  rows.forward_retries = totals.forward_retries;
+  rows.forward_retries_exhausted = totals.forward_retries_exhausted;
+  rows.shed_connections = totals.shed_connections;
+  rows.shed_queries = totals.shed_queries;
+  rows.outage_crashes = totals.outage_crashes;
+  return rows;
+}
+
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunConfig& run) {
   const auto t0 = std::chrono::steady_clock::now();
   ScenarioOutcome outcome;
@@ -70,8 +78,6 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunConfig& run) {
   const behavior::TraceSimulationConfig config =
       spec.apply(base_config(run));
   outcome.scenario_digest = behavior::simulation_config_digest(config);
-
-  const auto before = obs::Registry::global().snapshot();
 
   trace::Trace trace;
   std::vector<behavior::ShardStats> shard_stats;
@@ -89,50 +95,9 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunConfig& run) {
   }
 
   outcome.trace_digest = trace::binary_digest(trace);
-  outcome.events = trace.size();
-  for (const auto& s : shard_stats) {
-    outcome.peers_spawned += s.peers_spawned;
-    outcome.outage_crashes += s.outage_crashes;
-    for (std::size_t r = 0; r < geo::kRegionCount; ++r) {
-      outcome.outage_crashes_by_region[r] += s.outage_crashes_by_region[r];
-    }
-    outcome.shed_connections += s.shed_connections;
-    outcome.shed_queries += s.shed_queries;
-    outcome.replenish_scheduled += s.replenish_scheduled;
-    outcome.replenish_spawns += s.replenish_spawns;
-    for (std::size_t r = 0; r < outcome.session_ends.size(); ++r) {
-      outcome.session_ends[r] += s.session_ends[r];
-    }
-    outcome.robustness.injected.messages_lost += s.faults.messages_lost;
-    outcome.robustness.injected.messages_corrupted += s.faults.messages_corrupted;
-    outcome.robustness.injected.messages_duplicated +=
-        s.faults.messages_duplicated;
-    outcome.robustness.injected.messages_delayed += s.faults.messages_delayed;
-    outcome.robustness.injected.node_crashes += s.faults.node_crashes;
-    outcome.robustness.injected.half_open_links += s.faults.half_open_links;
-    outcome.robustness.injected.sends_into_dead_link +=
-        s.faults.sends_into_dead_link;
-  }
-
-  // Transport and node rows come from the registry delta around this run
-  // (the matrix runs scenarios sequentially, so the delta is this
-  // scenario's own contribution).
-  const auto after = obs::Registry::global().snapshot();
-  outcome.robustness.transport_delivered =
-      counter_delta(before, after, "transport.messages_delivered");
-  outcome.robustness.transport_dropped =
-      counter_delta(before, after, "transport.messages_dropped");
-  outcome.robustness.decode_errors =
-      counter_delta(before, after, "node.decode_errors");
-  outcome.robustness.clean_bytes_before_error =
-      counter_delta(before, after, "node.clean_bytes_before_error");
-  outcome.robustness.forward_retries =
-      counter_delta(before, after, "node.forward_retries");
-  outcome.robustness.forward_retries_exhausted =
-      counter_delta(before, after, "node.forward_retries_exhausted");
-  outcome.robustness.shed_connections = outcome.shed_connections;
-  outcome.robustness.shed_queries = outcome.shed_queries;
-  outcome.robustness.outage_crashes = outcome.outage_crashes;
+  outcome.totals = behavior::sum_shard_stats(shard_stats);
+  const behavior::ShardStats& totals = outcome.totals;
+  outcome.robustness = robustness_rows(totals);
   outcome.robustness.add_trace(trace);
 
   // Full analysis pass: the invariant is not just "didn't crash" but
@@ -156,22 +121,22 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunConfig& run) {
   auto check = [&](bool ok, const std::string& what) {
     if (!ok) outcome.violations.push_back(what);
   };
-  check(outcome.events > 0, "trace is empty");
+  check(totals.events > 0, "trace is empty");
 
   // The trace's teardown mix must agree exactly with the node-side
   // histogram: every SessionEnd the nodes counted is in the trace and
   // vice versa (the geo-outage satellite's cross-check).
-  check(outcome.session_ends[static_cast<std::size_t>(trace::EndReason::kBye)] ==
-            outcome.robustness.bye_ends,
+  check(totals.session_ends[static_cast<std::size_t>(
+            trace::EndReason::kBye)] == outcome.robustness.bye_ends,
         "BYE teardown count disagrees between node and trace");
-  check(outcome.session_ends[static_cast<std::size_t>(
+  check(totals.session_ends[static_cast<std::size_t>(
             trace::EndReason::kIdleProbe)] == outcome.robustness.probe_ends,
         "idle-probe teardown count disagrees between node and trace");
-  check(outcome.session_ends[static_cast<std::size_t>(
+  check(totals.session_ends[static_cast<std::size_t>(
             trace::EndReason::kTeardown)] == outcome.robustness.teardown_ends,
         "transport teardown count disagrees between node and trace");
-  check(outcome.session_ends[static_cast<std::size_t>(trace::EndReason::kError)] ==
-            outcome.robustness.error_ends,
+  check(totals.session_ends[static_cast<std::size_t>(
+            trace::EndReason::kError)] == outcome.robustness.error_ends,
         "error teardown count disagrees between node and trace");
 
   // Recovery counters stay bounded: every spawn was scheduled, and every
@@ -180,31 +145,31 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunConfig& run) {
                                    outcome.robustness.probe_ends +
                                    outcome.robustness.teardown_ends +
                                    outcome.robustness.error_ends;
-  check(outcome.replenish_spawns <= outcome.replenish_scheduled,
+  check(totals.replenish_spawns <= totals.replenish_scheduled,
         "replenish spawns exceed scheduled timers");
-  check(outcome.replenish_scheduled <= total_ends + outcome.replenish_spawns,
+  check(totals.replenish_scheduled <= total_ends + totals.replenish_spawns,
         "replenish timers exceed session deaths + follow-on fires");
   if (!config.node.replenish) {
-    check(outcome.replenish_scheduled == 0,
+    check(totals.replenish_scheduled == 0,
           "replenish disabled but timers were armed");
   }
 
   // Degradation counters only move when their knob is on.
   if (config.node.query_shed_rate <= 0.0) {
-    check(outcome.shed_queries == 0, "query shedding disabled but queries shed");
+    check(totals.shed_queries == 0, "query shedding disabled but queries shed");
   }
   if (config.node.max_pending_handshakes == 0) {
-    check(outcome.shed_connections == 0,
+    check(totals.shed_connections == 0,
           "admission cap disabled but connections shed");
   }
 
   // Outage accounting: crashes only under a declared outage, only in the
   // outage's regions, and never more than the overlay spawned.
-  check(outcome.outage_crashes <= outcome.peers_spawned,
+  check(totals.outage_crashes <= totals.peers_spawned,
         "outage crashes exceed spawned peers");
   std::uint64_t by_region_total = 0;
   for (std::size_t r = 0; r < geo::kRegionCount; ++r) {
-    by_region_total += outcome.outage_crashes_by_region[r];
+    by_region_total += totals.outage_crashes_by_region[r];
     bool region_has_outage = false;
     for (const auto& outage : config.outages) {
       if (geo::region_index(outage.region) == r && outage.severity > 0.0) {
@@ -212,16 +177,16 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunConfig& run) {
       }
     }
     if (!region_has_outage) {
-      check(outcome.outage_crashes_by_region[r] == 0,
+      check(totals.outage_crashes_by_region[r] == 0,
             std::string("outage crashes in ") +
                 std::string(geo::region_name(geo::kAllRegions[r])) +
                 " without a declared outage");
     }
   }
-  check(by_region_total == outcome.outage_crashes,
+  check(by_region_total == totals.outage_crashes,
         "per-region outage crashes do not sum to the total");
   if (config.outages.empty()) {
-    check(outcome.outage_crashes == 0, "outage crashes without any outage");
+    check(totals.outage_crashes == 0, "outage crashes without any outage");
   }
 
   if (!run.report_dir.empty()) {
@@ -268,20 +233,21 @@ void write_outcomes_json(std::ostream& out,
       << ", \"shards\": " << run.shards << "},\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const auto& o = outcomes[i];
+    const auto& t = o.totals;
     out << "    {\"name\": ";
     json_escape(out, o.name);
     out << ", \"scenario_digest\": \"" << hex_digest(o.scenario_digest)
         << "\", \"trace_digest\": \"" << hex_digest(o.trace_digest)
-        << "\",\n     \"events\": " << o.events
-        << ", \"peers_spawned\": " << o.peers_spawned
-        << ", \"outage_crashes\": " << o.outage_crashes
-        << ", \"shed_connections\": " << o.shed_connections
-        << ", \"shed_queries\": " << o.shed_queries
-        << ",\n     \"replenish_scheduled\": " << o.replenish_scheduled
-        << ", \"replenish_spawns\": " << o.replenish_spawns
-        << ", \"session_ends\": [" << o.session_ends[0] << ", "
-        << o.session_ends[1] << ", " << o.session_ends[2] << ", "
-        << o.session_ends[3] << "]"
+        << "\",\n     \"events\": " << t.events
+        << ", \"peers_spawned\": " << t.peers_spawned
+        << ", \"outage_crashes\": " << t.outage_crashes
+        << ", \"shed_connections\": " << t.shed_connections
+        << ", \"shed_queries\": " << t.shed_queries
+        << ",\n     \"replenish_scheduled\": " << t.replenish_scheduled
+        << ", \"replenish_spawns\": " << t.replenish_spawns
+        << ", \"session_ends\": [" << t.session_ends[0] << ", "
+        << t.session_ends[1] << ", " << t.session_ends[2] << ", "
+        << t.session_ends[3] << "]"
         << ",\n     \"final_sessions\": " << o.filters.final_sessions
         << ", \"final_queries\": " << o.filters.final_queries
         << ", \"green\": " << (o.green() ? "true" : "false")

@@ -15,7 +15,6 @@
 // thread count.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -23,6 +22,7 @@
 
 #include "analysis/filters.hpp"
 #include "analysis/report.hpp"
+#include "behavior/sharded_simulation.hpp"
 #include "scenario/spec.hpp"
 
 namespace p2pgen::scenario {
@@ -46,23 +46,20 @@ struct RunConfig {
 /// The base TraceSimulationConfig run_scenario applies each spec to.
 behavior::TraceSimulationConfig base_config(const RunConfig& run);
 
+/// The robustness rows of a run whose shards sum to `totals`
+/// (behavior::sum_shard_stats): injected faults, transport totals, node
+/// hardening and the scenario-layer rows.  The session-end mix is the
+/// trace's own; add it with RobustnessReport::add_trace() or from a
+/// streaming pass's end-reason counts.
+analysis::RobustnessReport robustness_rows(const behavior::ShardStats& totals);
+
 /// What one scenario run produced.
 struct ScenarioOutcome {
   std::string name;
   std::uint64_t scenario_digest = 0;  ///< identity of the applied config
   std::uint64_t trace_digest = 0;     ///< byte-identity of the merged trace
 
-  // Aggregated over shards.
-  std::uint64_t events = 0;
-  std::uint64_t peers_spawned = 0;
-  std::uint64_t outage_crashes = 0;
-  std::array<std::uint64_t, geo::kRegionCount> outage_crashes_by_region{};
-  std::uint64_t shed_connections = 0;
-  std::uint64_t shed_queries = 0;
-  std::uint64_t replenish_scheduled = 0;
-  std::uint64_t replenish_spawns = 0;
-  std::array<std::uint64_t, 4> session_ends{};  ///< by trace::EndReason
-
+  behavior::ShardStats totals;  ///< the shards' counters, summed
   analysis::RobustnessReport robustness;
   analysis::FilterReport filters;
 

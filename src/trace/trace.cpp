@@ -56,6 +56,8 @@ TraceStats Trace::stats() const {
 }
 
 Trace merge_traces(std::vector<Trace> shards) {
+  // One shard is already in merged order, and shard 0's ids are unshifted.
+  if (shards.size() == 1) return std::move(shards[0]);
   std::vector<std::vector<TraceEvent>> streams;
   streams.reserve(shards.size());
   std::size_t total = 0;

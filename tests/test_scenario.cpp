@@ -7,6 +7,8 @@
 //   * geo-correlated outages fail one region's peers together,
 //     deterministically, and the teardown mix in the trace agrees exactly
 //     with the node-side counters;
+//   * the robustness rows come from the shards, so they are the same with
+//     the metrics registry disabled;
 //   * the curated matrix is green and digest-identical at 1/2/8 threads.
 #include "scenario/runner.hpp"
 
@@ -17,6 +19,7 @@
 #include <sstream>
 
 #include "behavior/sharded_simulation.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/curated.hpp"
 #include "scenario/json.hpp"
 #include "trace/trace_io.hpp"
@@ -333,6 +336,33 @@ TEST(ScenarioOutage, RegionFailsTogetherDeterministically) {
   EXPECT_GT(robustness.probe_ends, 0u);
 }
 
+TEST(ScenarioRobustness, RowsComeFromTheShardsNotTheMetricsRegistry) {
+  const auto run = tiny_run();
+  const auto spec =
+      scenario::find_curated("hostile-overlay", run.duration_days);
+  ASSERT_TRUE(spec.has_value());
+  obs::Registry& registry = obs::Registry::global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  const auto enabled = scenario::run_scenario(*spec, run);
+  registry.set_enabled(false);
+  const auto disabled = scenario::run_scenario(*spec, run);
+  registry.set_enabled(was_enabled);
+
+  const analysis::RobustnessReport& on = enabled.robustness;
+  const analysis::RobustnessReport& off = disabled.robustness;
+  EXPECT_GT(on.transport_delivered, 0u);
+  EXPECT_GT(on.transport_dropped, 0u);
+  EXPECT_GT(on.decode_errors, 0u);
+  EXPECT_GT(on.clean_bytes_before_error, 0u);
+  EXPECT_EQ(off.transport_delivered, on.transport_delivered);
+  EXPECT_EQ(off.transport_dropped, on.transport_dropped);
+  EXPECT_EQ(off.decode_errors, on.decode_errors);
+  EXPECT_EQ(off.clean_bytes_before_error, on.clean_bytes_before_error);
+  EXPECT_EQ(off.forward_retries, on.forward_retries);
+  EXPECT_EQ(off.forward_retries_exhausted, on.forward_retries_exhausted);
+}
+
 // The curated matrix (the tentpole's invariant harness) ------------------
 
 TEST(ScenarioMatrix, CuratedNamesCoverTheRequiredAdversaries) {
@@ -365,7 +395,7 @@ TEST(ScenarioMatrix, AllScenariosGreenAndThreadCountInvariant) {
                                  << (outcome.violations.empty()
                                          ? "not green"
                                          : outcome.violations.front());
-    EXPECT_GT(outcome.events, 0u) << outcome.name;
+    EXPECT_GT(outcome.totals.events, 0u) << outcome.name;
 
     // Byte-identity at 1 (the matrix run), 2 and 8 threads.
     const auto config = specs[i].apply(scenario::base_config(run));
@@ -394,11 +424,11 @@ TEST(ScenarioMatrix, AllScenariosGreenAndThreadCountInvariant) {
     }
     throw std::logic_error("missing scenario " + name);
   };
-  EXPECT_GT(by_name("regional-outage-na").outage_crashes, 0u);
+  EXPECT_GT(by_name("regional-outage-na").totals.outage_crashes, 0u);
   EXPECT_GT(by_name("churn-storm").robustness.injected.node_crashes, 0u);
-  EXPECT_GT(by_name("churn-storm").replenish_spawns, 0u);
-  EXPECT_GT(by_name("flash-crowd").peers_spawned,
-            by_name("calm-zero").peers_spawned);
+  EXPECT_GT(by_name("churn-storm").totals.replenish_spawns, 0u);
+  EXPECT_GT(by_name("flash-crowd").totals.peers_spawned,
+            by_name("calm-zero").totals.peers_spawned);
 
   // The outcome JSON is well-formed enough to parse back.
   std::ostringstream json;

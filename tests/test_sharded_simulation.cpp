@@ -122,17 +122,54 @@ TEST(ShardedSimulation, MergedTraceIsTimeOrderedAndSessionNamespaced) {
 
 TEST(ShardedSimulation, ShardStatsMatchPerShardRuns) {
   const auto model = core::WorkloadModel::paper_default();
-  const auto config = tiny_config();
+  // A hostile overlay, so the transport and node counters are not all 0.
+  auto config = tiny_config();
+  config.faults.loss_prob = 0.03;
+  config.faults.corrupt_prob = 0.01;
+  config.faults.duplicate_prob = 0.02;
+  config.faults.jitter_seconds = 0.5;
+  config.faults.crash_rate = 1.0 / 3600.0;
+  config.node.forward_fanout = 4;
+  config.node.forward_retry_max = 3;
   std::vector<behavior::ShardStats> stats;
   behavior::simulate_trace_sharded(model, config, 2, 2, &stats);
   for (unsigned k = 0; k < 2; ++k) {
     EXPECT_EQ(stats[k].seed, behavior::shard_seed(config.seed, k));
     behavior::ShardStats solo;
-    const trace::Trace shard =
-        behavior::simulate_shard(model, config, k, &solo);
+    trace::Trace shard;
+    behavior::simulate_shard(model, config, k, shard, &solo);
     EXPECT_EQ(stats[k].events, shard.size());
     EXPECT_EQ(stats[k].peers_spawned, solo.peers_spawned);
+
+    // The shard is a plain TraceSimulation at the shard's derived seed.
+    auto direct_config = config;
+    direct_config.seed = behavior::shard_seed(config.seed, k);
+    trace::Trace direct_trace;
+    behavior::TraceSimulation direct(model, direct_config, direct_trace);
+    direct.run();
+    EXPECT_EQ(stats[k].events, direct_trace.size());
+    EXPECT_GT(stats[k].faults.messages_lost, 0u);
+    EXPECT_EQ(stats[k].faults.messages_lost,
+              direct.fault_counters().messages_lost);
+    EXPECT_GT(stats[k].transport_delivered, 0u);
+    EXPECT_EQ(stats[k].transport_delivered,
+              direct.network().messages_delivered());
+    EXPECT_EQ(stats[k].transport_dropped, direct.network().messages_dropped());
+    EXPECT_EQ(stats[k].decode_errors, direct.node().decode_errors());
+    EXPECT_EQ(stats[k].clean_bytes_before_error,
+              direct.node().clean_bytes_before_error());
+    EXPECT_EQ(stats[k].forward_retries, direct.node().forward_retries());
+    EXPECT_EQ(stats[k].forward_retries_exhausted,
+              direct.node().forward_retries_exhausted());
   }
+  // The sum is counter-wise.
+  const behavior::ShardStats sum = behavior::sum_shard_stats(stats);
+  EXPECT_EQ(sum.events, stats[0].events + stats[1].events);
+  EXPECT_EQ(sum.transport_delivered,
+            stats[0].transport_delivered + stats[1].transport_delivered);
+  EXPECT_EQ(sum.decode_errors, stats[0].decode_errors + stats[1].decode_errors);
+  EXPECT_EQ(sum.faults.node_crashes,
+            stats[0].faults.node_crashes + stats[1].faults.node_crashes);
 }
 
 TEST(ShardedSimulation, ZeroShardsIsRejected) {
