@@ -808,18 +808,6 @@ class StreamingPass {
     passive_.add_session(session);
     accumulate_session_measures(measures_, session);
     tables_.add_session(session);
-
-    if (!session.removed) {
-      const double duration = session.duration();
-      duration_moments_.add(duration);
-      duration_sketch_.add(duration);
-      const ObservedQuery* prev = nullptr;
-      for (const auto& query : session.queries) {
-        if (!query.kept() || query.excluded_from_interarrival) continue;
-        if (prev != nullptr) interarrival_sketch_.add(query.time - prev->time);
-        prev = &query;
-      }
-    }
   }
 
   // ---- EOF / result assembly -------------------------------------------
@@ -872,9 +860,6 @@ class StreamingPass {
     }
     stats_out_.events = events_;
     result.streaming = stats_out_;
-    result.duration_moments = duration_moments_;
-    result.duration_sketch = duration_sketch_;
-    result.interarrival_sketch = interarrival_sketch_;
 
     // Query-lifecycle sidecars (DESIGN.md §12): the durable producer
     // wrote one "qtrace.bin" per shard when tracing was on.  Reading
@@ -985,9 +970,6 @@ class StreamingPass {
   PassiveAccumulator passive_;
   SessionMeasures measures_;
   DailyQueryTables tables_;
-  StreamingMoments duration_moments_;
-  LogQuantileSketch duration_sketch_;
-  LogQuantileSketch interarrival_sketch_;
   StreamingStats stats_out_;
 
   // Salvage censoring state (all inert unless options_.salvage).

@@ -34,6 +34,64 @@ void Node::on_wire(ConnId conn, const std::vector<std::uint8_t>& bytes) {
   }
 }
 
+std::size_t Network::ConnectionTable::cell_of(ConnId id) const noexcept {
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t cell = home(id);
+  while (cells_[cell].id != 0 && cells_[cell].id != id) {
+    cell = (cell + 1) & mask;
+  }
+  return cell;
+}
+
+Network::Connection* Network::ConnectionTable::find(ConnId id) noexcept {
+  Connection& c = cells_[cell_of(id)];
+  return c.id != 0 ? &c : nullptr;
+}
+
+const Network::Connection* Network::ConnectionTable::find(
+    ConnId id) const noexcept {
+  const Connection& c = cells_[cell_of(id)];
+  return c.id != 0 ? &c : nullptr;
+}
+
+Network::Connection& Network::ConnectionTable::insert(ConnId id) {
+  if (2 * (count_ + 1) > cells_.size()) grow();
+  Connection& c = cells_[cell_of(id)];
+  c = Connection{};
+  c.id = id;
+  ++count_;
+  return c;
+}
+
+void Network::ConnectionTable::erase(ConnId id) noexcept {
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t cell = cell_of(id);
+  if (cells_[cell].id == 0) return;
+  std::size_t next = cell;
+  for (;;) {
+    next = (next + 1) & mask;
+    if (cells_[next].id == 0) break;
+    // The entry at `next` may fill the hole unless the hole lies
+    // (cyclically) before its home cell.
+    const std::size_t home_cell = home(cells_[next].id);
+    if (((next - home_cell) & mask) >= ((next - cell) & mask)) {
+      cells_[cell] = cells_[next];
+      cell = next;
+    }
+  }
+  cells_[cell].id = 0;
+  --count_;
+}
+
+void Network::ConnectionTable::grow() {
+  const std::vector<Connection> old =
+      std::exchange(cells_, std::vector<Connection>(2 * cells_.size()));
+  --shift_;
+  for (const Connection& c : old) {
+    if (c.id != 0) cells_[cell_of(c.id)] = c;
+  }
+}
+
 Network::Network(Simulator& simulator, Config config)
     : sim_(simulator), config_(config) {
   if (config_.latency_seconds < 0.0) {
@@ -87,19 +145,19 @@ void Network::crash_node(NodeId node) {
 }
 
 void Network::half_open(ConnId conn, bool from_a) {
-  const auto it = connections_.find(conn);
-  if (it == connections_.end() || !it->second.open) return;
-  bool& dead = from_a ? it->second.dead_a_to_b : it->second.dead_b_to_a;
+  Connection* c = connections_.find(conn);
+  if (c == nullptr || !c->open) return;
+  bool& dead = from_a ? c->dead_a_to_b : c->dead_b_to_a;
   if (dead) return;
   dead = true;
   if (injector_) ++injector_->counters().half_open_links;
 }
 
 void Network::crash_unprotected_endpoint(ConnId conn) {
-  const auto it = connections_.find(conn);
-  if (it == connections_.end() || !it->second.open) return;
-  const NodeId a = it->second.a;
-  const NodeId b = it->second.b;
+  const Connection* c = connections_.find(conn);
+  if (c == nullptr || !c->open) return;
+  const NodeId a = c->a;
+  const NodeId b = c->b;
   if (!protected_[a] && !crashed_[a]) {
     crash_node(a);
   } else if (!protected_[b] && !crashed_[b]) {
@@ -108,19 +166,19 @@ void Network::crash_unprotected_endpoint(ConnId conn) {
 }
 
 Network::Connection& Network::conn_ref(ConnId conn) {
-  const auto it = connections_.find(conn);
-  if (it == connections_.end()) {
+  Connection* c = connections_.find(conn);
+  if (c == nullptr) {
     throw std::invalid_argument("Network: unknown connection id");
   }
-  return it->second;
+  return *c;
 }
 
 const Network::Connection& Network::conn_ref(ConnId conn) const {
-  const auto it = connections_.find(conn);
-  if (it == connections_.end()) {
+  const Connection* c = connections_.find(conn);
+  if (c == nullptr) {
     throw std::invalid_argument("Network: unknown connection id");
   }
-  return it->second;
+  return *c;
 }
 
 ConnId Network::connect(NodeId a, NodeId b) {
@@ -128,13 +186,16 @@ ConnId Network::connect(NodeId a, NodeId b) {
     throw std::invalid_argument("Network: invalid endpoints");
   }
   const ConnId id = next_conn_id_++;
-  connections_[id] = Connection{a, b, true};
+  Connection& c = connections_.insert(id);
+  c.a = a;
+  c.b = b;
+  c.open = true;
   ++open_count_;
   sim_.schedule_in_order(sim_.now() + config_.latency_seconds, [this, id] {
-    const auto it = connections_.find(id);
-    if (it == connections_.end() || !it->second.open) return;
-    const NodeId end_a = it->second.a;
-    const NodeId end_b = it->second.b;
+    const Connection* opened = connections_.find(id);
+    if (opened == nullptr || !opened->open) return;
+    const NodeId end_a = opened->a;
+    const NodeId end_b = opened->b;
     if (!crashed_[end_a]) nodes_[end_a]->on_connection_open(id, end_b);
     if (!crashed_[end_b]) nodes_[end_b]->on_connection_open(id, end_a);
   });
@@ -170,7 +231,7 @@ void Network::close(ConnId conn) {
                               c.fifo_a_to_b, c.fifo_b_to_a});
   sim_.schedule_in_order(at, [this, conn] {
     // Only this event erases the connection, so it is still there.
-    const Connection& closing = connections_.find(conn)->second;
+    const Connection& closing = *connections_.find(conn);
     const NodeId a = closing.a;
     const NodeId b = closing.b;
     if (!crashed_[a]) nodes_[a]->on_connection_closed(conn);
@@ -182,7 +243,7 @@ void Network::close(ConnId conn) {
 void Network::deliver_wire(ConnId conn, NodeId receiver, double at,
                            std::vector<std::uint8_t> wire) {
   sim_.schedule_in_order(at, [this, conn, receiver, bytes = std::move(wire)] {
-    if (connections_.find(conn) == connections_.end() || crashed_[receiver]) {
+    if (connections_.find(conn) == nullptr || crashed_[receiver]) {
       ++messages_dropped_;
       return;
     }
@@ -308,7 +369,7 @@ void Network::send(ConnId conn, NodeId sender, gnutella::Message message) {
     return;
   }
   ++injector_->counters().messages_duplicated;
-  schedule_delivery(conn, receiver, deliver_at, message);
+  schedule_delivery(conn, receiver, deliver_at, gnutella::Message(message));
   const double dup_at = std::max(
       sim_.now() + config_.latency_seconds + injector_->jitter(), fifo);
   fifo = dup_at;
@@ -316,38 +377,26 @@ void Network::send(ConnId conn, NodeId sender, gnutella::Message message) {
 }
 
 void Network::schedule_delivery(ConnId conn, NodeId receiver, double at,
-                                gnutella::Message message) {
-  std::uint32_t slot;
-  if (free_in_flight_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(InFlight{conn, receiver, std::move(message)});
-  } else {
-    slot = free_in_flight_.back();
-    free_in_flight_.pop_back();
-    InFlight& parked = in_flight_[slot];
-    parked.conn = conn;
-    parked.receiver = receiver;
-    parked.message = std::move(message);
-  }
+                                gnutella::Message&& message) {
+  const std::uint32_t slot = in_flight_.acquire();
+  InFlight& parked = in_flight_[slot];
+  parked.conn = conn;
+  parked.receiver = receiver;
+  parked.message = std::move(message);
   sim_.schedule_in_order(at, [this, slot] { deliver(slot); });
 }
 
 void Network::deliver(std::uint32_t slot) {
-  // Take the descriptor out first: on_message may send, which can grow
-  // the slab and move its entries.
-  InFlight& parked = in_flight_[slot];
-  const ConnId conn = parked.conn;
-  const NodeId receiver = parked.receiver;
-  const gnutella::Message message = std::move(parked.message);
-  free_in_flight_.push_back(slot);
   // Deliver as long as the teardown notification has not yet run
   // (graceful-close semantics) and the receiver still exists.
-  if (connections_.find(conn) == connections_.end() || crashed_[receiver]) {
+  const InFlight& parked = in_flight_[slot];
+  if (connections_.find(parked.conn) == nullptr || crashed_[parked.receiver]) {
     ++messages_dropped_;
-    return;
+  } else {
+    ++messages_delivered_;
+    nodes_[parked.receiver]->on_message(parked.conn, parked.message);
   }
-  ++messages_delivered_;
-  nodes_[receiver]->on_message(conn, message);
+  in_flight_.release(slot);
 }
 
 void Network::send_handshake(ConnId conn, NodeId sender,
@@ -363,40 +412,26 @@ void Network::send_handshake(ConnId conn, NodeId sender,
     return;
   }
   const NodeId receiver = from_a ? c.b : c.a;
-  std::uint32_t slot;
-  if (free_handshakes_.empty()) {
-    slot = static_cast<std::uint32_t>(handshakes_.size());
-    handshakes_.push_back(
-        InFlightHandshake{conn, receiver, std::move(handshake)});
-  } else {
-    slot = free_handshakes_.back();
-    free_handshakes_.pop_back();
-    InFlightHandshake& parked = handshakes_[slot];
-    parked.conn = conn;
-    parked.receiver = receiver;
-    parked.handshake = std::move(handshake);
-  }
+  const std::uint32_t slot = handshakes_.acquire();
+  InFlightHandshake& parked = handshakes_[slot];
+  parked.conn = conn;
+  parked.receiver = receiver;
+  parked.handshake = std::move(handshake);
   sim_.schedule_in_order(sim_.now() + config_.latency_seconds,
                          [this, slot] { deliver_handshake(slot); });
 }
 
 void Network::deliver_handshake(std::uint32_t slot) {
-  // As in deliver(): on_handshake may send another handshake, which can
-  // grow the slab, so the block leaves it first.
-  InFlightHandshake& parked = handshakes_[slot];
-  const ConnId conn = parked.conn;
-  const NodeId receiver = parked.receiver;
-  const gnutella::Handshake handshake = std::move(parked.handshake);
-  free_handshakes_.push_back(slot);
-  if (connections_.find(conn) == connections_.end() || crashed_[receiver]) {
-    return;
+  const InFlightHandshake& parked = handshakes_[slot];
+  if (connections_.find(parked.conn) != nullptr && !crashed_[parked.receiver]) {
+    nodes_[parked.receiver]->on_handshake(parked.conn, parked.handshake);
   }
-  nodes_[receiver]->on_handshake(conn, handshake);
+  handshakes_.release(slot);
 }
 
 bool Network::is_open(ConnId conn) const {
-  const auto it = connections_.find(conn);
-  return it != connections_.end() && it->second.open;
+  const Connection* c = connections_.find(conn);
+  return c != nullptr && c->open;
 }
 
 NodeId Network::peer_of(ConnId conn, NodeId self) const {

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "gnutella/handshake.hpp"
@@ -165,21 +165,87 @@ class Network {
 
  private:
   struct Connection {
+    ConnId id = 0;             // 0 marks an empty table cell
     NodeId a = 0;
     NodeId b = 0;
-    bool open = false;         // false once close() starts (no new sends)
-    bool dead_a_to_b = false;  // half-open: a's sends are swallowed
-    bool dead_b_to_a = false;  // half-open: b's sends are swallowed
     // FIFO floors: absolute time of the latest delivery scheduled in each
     // direction.  The overlay ran on TCP, so jitter may delay a stream but
     // never reorder it; descriptors (and the teardown notification) are
     // clamped to arrive no earlier than their predecessors.
     double fifo_a_to_b = 0.0;
     double fifo_b_to_a = 0.0;
+    bool open = false;         // false once close() starts (no new sends)
+    bool dead_a_to_b = false;  // half-open: a's sends are swallowed
+    bool dead_b_to_a = false;  // half-open: b's sends are swallowed
+  };
+
+  // The connections from connect() until their teardown notification
+  // ran, stored in place: an open-addressed, linear-probing table with a
+  // power-of-two number of cells, at most half of them used.  Erasing
+  // empties a cell by backward shift (as RoutingTable's index does), so
+  // no probe chain breaks and no tombstones build up.  An insert may
+  // move every entry, so no Connection pointer or reference outlives a
+  // call that can connect().
+  class ConnectionTable {
+   public:
+    ConnectionTable() : cells_(kInitialCells) {}
+    Connection* find(ConnId id) noexcept;
+    const Connection* find(ConnId id) const noexcept;
+    // `id` must be nonzero and not in the table.
+    Connection& insert(ConnId id);
+    // No-op when `id` is not in the table.
+    void erase(ConnId id) noexcept;
+
+   private:
+    static constexpr std::size_t kInitialCells = 64;
+    // Fibonacci hashing: the top bits of id * 2^64/phi spread the
+    // sequential ids evenly over the cells.
+    std::size_t home(ConnId id) const noexcept {
+      return static_cast<std::size_t>((id * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+    // The cell holding `id`, or the empty cell that ends its probe.
+    std::size_t cell_of(ConnId id) const noexcept;
+    void grow();
+
+    std::vector<Connection> cells_;
+    std::size_t count_ = 0;
+    unsigned shift_ = 64 - 6;  // 64 - log2(cells_.size())
   };
 
   Connection& conn_ref(ConnId conn);
   const Connection& conn_ref(ConnId conn) const;
+
+  // A free-listed slab of parked values whose entries never move: it
+  // grows by whole chunks.  A delivery hands its receiver the value in
+  // place, and the receiver may park more while it runs, so the slot is
+  // released only after the receiver returns.
+  template <class T>
+  class Slab {
+   public:
+    // A free slot; the caller overwrites its (stale or default) value.
+    std::uint32_t acquire() {
+      if (!free_.empty()) {
+        const std::uint32_t slot = free_.back();
+        free_.pop_back();
+        return slot;
+      }
+      if ((size_ & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique<T[]>(kChunkMask + 1));
+      }
+      return size_++;
+    }
+    void release(std::uint32_t slot) { free_.push_back(slot); }
+    T& operator[](std::uint32_t slot) noexcept {
+      return chunks_[slot >> kChunkBits][slot & kChunkMask];
+    }
+
+   private:
+    static constexpr unsigned kChunkBits = 8;
+    static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::uint32_t size_ = 0;
+    std::vector<std::uint32_t> free_;
+  };
 
   // A descriptor between send() and its delivery.  Its scheduled closure
   // holds only the slab index, small enough for std::function's inline
@@ -201,7 +267,7 @@ class Network {
   bool faults_on() const noexcept { return injector_ && injector_->enabled(); }
   void crash_unprotected_endpoint(ConnId conn);
   void schedule_delivery(ConnId conn, NodeId receiver, double at,
-                         gnutella::Message message);
+                         gnutella::Message&& message);
   void deliver(std::uint32_t slot);
   void deliver_handshake(std::uint32_t slot);
   void deliver_wire(ConnId conn, NodeId receiver, double at,
@@ -213,11 +279,9 @@ class Network {
   std::vector<std::uint32_t> addresses_;
   std::vector<char> crashed_;
   std::vector<char> protected_;
-  std::unordered_map<ConnId, Connection> connections_;
-  std::vector<InFlight> in_flight_;
-  std::vector<std::uint32_t> free_in_flight_;
-  std::vector<InFlightHandshake> handshakes_;
-  std::vector<std::uint32_t> free_handshakes_;
+  ConnectionTable connections_;
+  Slab<InFlight> in_flight_;
+  Slab<InFlightHandshake> handshakes_;
   FaultInjector* injector_ = nullptr;
   obs::QueryTracer* qtracer_ = nullptr;
   obs::TimelineRecorder* timeline_ = nullptr;

@@ -15,8 +15,14 @@ Simulator::Key Simulator::make_key(SimTime at, Handler&& handler) {
                                     : "Simulator: cannot schedule in the past");
   }
   if (!handler) throw std::invalid_argument("Simulator: null handler");
+  if (next_seq_ == kSeqLimit) {
+    throw std::length_error("Simulator: 2^40 events scheduled");
+  }
   std::uint32_t slot;
   if (free_slots_.empty()) {
+    if (slots_.size() > kSlotMask) {
+      throw std::length_error("Simulator: 2^24 events pending");
+    }
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   } else {
@@ -27,7 +33,9 @@ Simulator::Key Simulator::make_key(SimTime at, Handler&& handler) {
   s.handler = std::move(handler);
   s.live = true;
   ++pending_;
-  return Key{at, next_seq_++, slot};
+  // Adding +0.0 turns -0.0 into +0.0 and leaves every other time as is.
+  return Key{std::bit_cast<std::uint64_t>(at + 0.0),
+             (next_seq_++ << kSlotBits) | slot};
 }
 
 void Simulator::release(std::uint32_t slot) {
@@ -39,7 +47,7 @@ void Simulator::release(std::uint32_t slot) {
 std::uint64_t Simulator::schedule_at(SimTime at, Handler handler) {
   const Key key = make_key(at, std::move(handler));
   heap_push(key);
-  return id_of(key.slot);
+  return id_of(key.slot());
 }
 
 std::uint64_t Simulator::schedule_after(SimTime delay, Handler handler) {
@@ -57,7 +65,7 @@ std::uint64_t Simulator::schedule_in_order(SimTime at, Handler handler) {
   } else {
     heap_push(key);
   }
-  return id_of(key.slot);
+  return id_of(key.slot());
 }
 
 bool Simulator::cancel(std::uint64_t event_id) {
@@ -75,35 +83,56 @@ bool Simulator::cancel(std::uint64_t event_id) {
 
 void Simulator::heap_push(const Key& key) {
   heap_.push_back(key);
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
+  sift_up(heap_.size() - 1, key);
+}
+
+void Simulator::sift_up(std::size_t hole, const Key& key) {
+  while (hole > kRoot) {
+    const std::size_t parent = parent_of(hole);
     if (!before(key, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
+    heap_[hole] = heap_[parent];
+    hole = parent;
   }
-  heap_[i] = key;
+  heap_[hole] = key;
+}
+
+std::size_t Simulator::min_of_four(std::size_t first) const noexcept {
+  // A tournament: two independent pair comparisons, then the final.  Each
+  // result is used as a number, never branched on: which child is
+  // smallest is a coin toss the branch predictor would lose.
+  const Key* c = &heap_[first];
+  const std::size_t left = before(c[1], c[0]);
+  const std::size_t right = 2 + std::size_t{before(c[3], c[2])};
+  const std::size_t right_wins = before(c[right], c[left]);
+  return first + left + (right - left) * right_wins;
 }
 
 void Simulator::heap_pop() {
   const Key last = heap_.back();
   heap_.pop_back();
   const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t i = 0;
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    const std::size_t end = first + 4 < n ? first + 4 : n;
+  if (n == kRoot) return;
+  // Bottom-up: walk the root's hole down to a leaf along the smallest
+  // children, then sift the last key up from there.  The last key is
+  // nearly always a far-future timer, so it seldom climbs, and the walk
+  // saves the comparison against it at every level.
+  std::size_t hole = kRoot;
+  std::size_t first = first_child(kRoot);
+  while (first + 3 < n) {
+    const std::size_t best = min_of_four(first);
+    heap_[hole] = heap_[best];
+    hole = best;
+    first = first_child(hole);
+  }
+  if (first < n) {  // the last parent, with one to three children
     std::size_t best = first;
-    for (std::size_t c = first + 1; c < end; ++c) {
+    for (std::size_t c = first + 1; c < n; ++c) {
       if (before(heap_[c], heap_[best])) best = c;
     }
-    if (!before(heap_[best], last)) break;
-    heap_[i] = heap_[best];
-    i = best;
+    heap_[hole] = heap_[best];
+    hole = best;
   }
-  heap_[i] = last;
+  sift_up(hole, last);
 }
 
 void Simulator::lane_push(const Key& key) {
@@ -124,25 +153,27 @@ void Simulator::run_until(SimTime until) {
   for (;;) {
     // The next event is the earlier of the two sorted heads.
     const bool from_lane =
-        !lane_empty() && (heap_.empty() || before(lane_front(), heap_.front()));
-    if (!from_lane && heap_.empty()) break;
-    const Key key = from_lane ? lane_front() : heap_.front();
-    if (key.at > until) break;
+        !lane_empty() && (heap_empty() || before(lane_front(), heap_[kRoot]));
+    if (!from_lane && heap_empty()) break;
+    const Key key = from_lane ? lane_front() : heap_[kRoot];
+    const SimTime at = key.time();
+    if (at > until) break;
     if (from_lane) {
       lane_pop();
     } else {
       heap_pop();
     }
-    Slot& s = slots_[key.slot];
+    const std::uint32_t slot = key.slot();
+    Slot& s = slots_[slot];
     if (!s.live) {  // cancelled
-      release(key.slot);
+      release(slot);
       continue;
     }
     Handler handler = std::move(s.handler);
     s.live = false;
-    release(key.slot);
+    release(slot);
     --pending_;
-    now_ = key.at;
+    now_ = at;
     ++executed_;
     handler();
   }

@@ -7,13 +7,15 @@
 // time axes.
 //
 // The core allocates nothing per event once warm (DESIGN.md §15): handlers
-// sit in a slot slab with a free list, the 4-ary heap orders small
+// sit in a slot slab with a free list, the 4-ary heap orders 16-byte
 // (time, sequence, slot) keys, and transport events whose times never
 // decrease bypass the heap on a FIFO lane.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <vector>
 
 namespace p2pgen::sim {
@@ -54,7 +56,8 @@ class Simulator {
   /// Schedules `handler` to run at absolute time `at` (>= now()).
   /// Returns a nonzero event id usable with cancel().  A time before
   /// now(), a NaN time or a null handler throws std::invalid_argument
-  /// (so does each of these in schedule_in_order()).
+  /// (so does each of these in schedule_in_order()).  A 2^24th pending
+  /// event, or a 2^40th scheduling call, throws std::length_error.
   std::uint64_t schedule_at(SimTime at, Handler handler);
 
   /// Schedules `handler` after `delay` seconds (>= 0; a negative or NaN
@@ -87,14 +90,29 @@ class Simulator {
   std::uint64_t executed() const noexcept { return executed_; }
 
  private:
-  // Firing order is (at, seq); `slot` names the handler in the slab.
+  // Firing order is (at, seq).  A key is two words: the bit pattern of
+  // the time, and seq << 24 | slot, where `slot` names the handler in the
+  // slab.  Schedule times are >= +0.0 (make_key folds -0.0 into +0.0),
+  // and for those the bit order of a double is its numeric order, +inf
+  // included.  Sequence numbers are unique, so the slot bits never decide.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 40;
   struct Key {
-    SimTime at;
-    std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t at;
+    std::uint64_t seq_slot;
+    SimTime time() const noexcept { return std::bit_cast<SimTime>(at); }
+    std::uint32_t slot() const noexcept {
+      return static_cast<std::uint32_t>(seq_slot & kSlotMask);
+    }
   };
+  // Lexicographic order of the two words, without branches: the borrow
+  // of the low words decides only when the high words are equal.  The
+  // high word is at most the bit pattern of +inf, so adding the borrow to
+  // it cannot overflow.
   static bool before(const Key& a, const Key& b) noexcept {
-    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+    return a.at < b.at + std::uint64_t{a.seq_slot < b.seq_slot};
   }
 
   // A handler slot.  Event ids are (generation << 32) | slot; releasing a
@@ -112,8 +130,41 @@ class Simulator {
   }
   void release(std::uint32_t slot);
 
+  // The heap's storage is 64-byte aligned and its root sits at position
+  // 3, so the four children of position p, at 4p - 8 .. 4p - 5, always
+  // share one cache line; positions 0..2 are padding.
+  template <class T>
+  struct CacheLineAllocator {
+    using value_type = T;
+    CacheLineAllocator() = default;
+    template <class U>
+    CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+    T* allocate(std::size_t n) {
+      return static_cast<T*>(
+          ::operator new(n * sizeof(T), std::align_val_t{64}));
+    }
+    void deallocate(T* p, std::size_t) noexcept {
+      ::operator delete(p, std::align_val_t{64});
+    }
+    friend bool operator==(const CacheLineAllocator&,
+                           const CacheLineAllocator&) noexcept {
+      return true;
+    }
+  };
+  static constexpr std::size_t kRoot = 3;
+  static constexpr std::size_t first_child(std::size_t p) noexcept {
+    return 4 * p - 8;
+  }
+  static constexpr std::size_t parent_of(std::size_t p) noexcept {
+    return p / 4 + 2;
+  }
+  bool heap_empty() const noexcept { return heap_.size() == kRoot; }
   void heap_push(const Key& key);
   void heap_pop();
+  // Moves parents down from position `hole` until `key` fits there.
+  void sift_up(std::size_t hole, const Key& key);
+  // The smallest of the four children that start at `first`.
+  std::size_t min_of_four(std::size_t first) const noexcept;
 
   bool lane_empty() const noexcept { return lane_size_ == 0; }
   const Key& lane_front() const noexcept { return lane_[lane_head_]; }
@@ -130,7 +181,9 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t pending_ = 0;
-  std::vector<Key> heap_;  // 4-ary min-heap by before()
+  // 4-ary min-heap by before(), from position kRoot on.
+  std::vector<Key, CacheLineAllocator<Key>> heap_ =
+      std::vector<Key, CacheLineAllocator<Key>>(kRoot);
   // FIFO ring buffer (power-of-two capacity) sorted by before().
   std::vector<Key> lane_;
   std::size_t lane_head_ = 0;

@@ -4,6 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <map>
+#include <numeric>
 #include <queue>
 #include <random>
 #include <vector>
@@ -234,6 +237,95 @@ TEST(Simulator, FiringOrderMatchesAPriorityQueueOracle) {
   }
 }
 
+// Schedules times[i] as event i — through schedule_at, through
+// schedule_in_order, or alternating the two — runs the simulator dry and
+// returns the events in firing order.
+enum class Via { kHeap, kLane, kBoth };
+std::vector<std::size_t> fire_all(const std::vector<SimTime>& times, Via via) {
+  Simulator sim;
+  std::vector<std::size_t> fired;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    auto handler = [&fired, i] { fired.push_back(i); };
+    if (via == Via::kLane || (via == Via::kBoth && i % 2 == 1)) {
+      sim.schedule_in_order(times[i], handler);
+    } else {
+      sim.schedule_at(times[i], handler);
+    }
+  }
+  sim.run();
+  return fired;
+}
+
+// The (time, scheduling order) oracle: a stable sort by time.  Doubles
+// compare -0.0 equal to +0.0, so the two tie by scheduling order.
+std::vector<std::size_t> oracle_order(const std::vector<SimTime>& times) {
+  std::vector<std::size_t> order(times.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return times[a] < times[b];
+                   });
+  return order;
+}
+
+// Queue keys compare the bit patterns of times; these are the inputs
+// where bit order and numeric order could part, or where ties and heap
+// shape decide the outcome.
+TEST(Simulator, SignedZerosTieBySchedulingOrder) {
+  const std::vector<SimTime> times = {0.0, -0.0, 0.5, -0.0, 0.0, -0.0, 0.0};
+  for (const Via via : {Via::kHeap, Via::kLane, Via::kBoth}) {
+    EXPECT_EQ(fire_all(times, via), oracle_order(times));
+  }
+}
+
+TEST(Simulator, DeepTiesFireInSchedulingOrder) {
+  // 1500 events at one time, mixed with events on a coarse grid around
+  // it, so ties sit many levels deep in the 4-ary heap.
+  std::mt19937_64 rng(11);
+  std::vector<SimTime> times;
+  for (int i = 0; i < 3000; ++i) {
+    times.push_back(i % 2 == 0
+                        ? 1.0
+                        : std::uniform_int_distribution<int>(0, 8)(rng) / 4.0);
+  }
+  for (const Via via : {Via::kHeap, Via::kLane, Via::kBoth}) {
+    EXPECT_EQ(fire_all(times, via), oracle_order(times));
+  }
+}
+
+TEST(Simulator, InfiniteTimesFireLast) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<SimTime> times = {inf, 1.0, inf, 0.0, 2.0, inf, 1e300};
+  for (const Via via : {Via::kHeap, Via::kLane, Via::kBoth}) {
+    EXPECT_EQ(fire_all(times, via), oracle_order(times));
+  }
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(inf, [&] { ++fired; });
+  sim.schedule_in_order(inf, [&] { ++fired; });
+  sim.schedule_at(1e300, [&] { ++fired; });
+  sim.run_until(std::numeric_limits<double>::max());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pending(), 2u);
+  sim.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.now(), inf);
+}
+
+TEST(Simulator, EveryHeapSizePopsInOrder) {
+  // Sizes 1..100 give every shape of the heap's last level: a last parent
+  // with one, two, three or four children at several depths, including
+  // the walk's final step below a parent with fewer than four children.
+  std::mt19937_64 rng(12);
+  for (std::size_t n = 1; n <= 100; ++n) {
+    std::vector<SimTime> times(n);
+    for (auto& t : times) {
+      t = std::uniform_int_distribution<int>(0, 15)(rng) / 2.0;
+    }
+    ASSERT_EQ(fire_all(times, Via::kHeap), oracle_order(times)) << "n " << n;
+  }
+}
+
 TEST(TimeHelpers, DayAndHourArithmetic) {
   EXPECT_DOUBLE_EQ(time_of_day(0.0), 0.0);
   EXPECT_DOUBLE_EQ(time_of_day(86400.0 + 3600.0), 3600.0);
@@ -448,6 +540,108 @@ TEST_F(NetworkFixture, InvalidEndpointsRejected) {
   EXPECT_THROW(net.send(conn, 42, gnutella::make_ping(rng)),
                std::invalid_argument);
   EXPECT_THROW(net.peer_of(conn, 42), std::invalid_argument);
+}
+
+TEST(Network, ConnectionTableSurvivesChurn) {
+  // Thousands of connects and closes, with sends in between, against a
+  // std::map model.  The live set swells to hundreds of connections and
+  // shrinks again while ids keep rising, so the table grows, probe chains
+  // wrap its end, and erases shift entries back inside those chains.
+  struct CountingNode : Node {
+    void on_connection_open(ConnId, NodeId) override {}
+    void on_connection_closed(ConnId) override {}
+    void on_handshake(ConnId, const gnutella::Handshake&) override {}
+    void on_message(ConnId, const gnutella::Message&) override {}
+  };
+  struct Model {
+    NodeId a;
+    NodeId b;
+    bool open;
+  };
+  Simulator sim;
+  Network net(sim, Network::Config{1.0, false});
+  std::vector<CountingNode> nodes(8);
+  for (auto& node : nodes) net.add_node(node);
+  std::map<ConnId, Model> model;
+  std::vector<ConnId> erased;
+  std::mt19937_64 rng(13);
+  stats::Rng message_rng(14);
+  std::uint64_t delivered = 0;
+  std::uint64_t dropped = 0;
+  std::size_t connects = 0;
+  std::size_t closes = 0;
+  std::size_t max_live = 0;
+  ConnId last_id = 0;
+  auto pick = [&](auto& map) {
+    auto it = map.begin();
+    std::advance(it, std::uniform_int_distribution<std::size_t>(
+                         0, map.size() - 1)(rng));
+    return it;
+  };
+
+  for (int round = 0; round < 600; ++round) {
+    // Alternate 60-round phases that mostly connect and mostly close.
+    const bool growing = (round / 60) % 2 == 0;
+    const double p_connect = growing ? 0.6 : 0.15;
+    const double p_close = growing ? 0.2 : 0.5;
+    std::vector<ConnId> closing;
+    for (int op = 0; op < 50; ++op) {
+      const double u = std::uniform_real_distribution<>(0.0, 1.0)(rng);
+      if (u < p_connect || model.empty()) {
+        const auto a = std::uniform_int_distribution<NodeId>(0, 7)(rng);
+        const auto b =
+            (a + std::uniform_int_distribution<NodeId>(1, 7)(rng)) % 8;
+        const ConnId id = net.connect(a, b);
+        ASSERT_EQ(id, last_id + 1);  // ids stay sequential
+        last_id = id;
+        model[id] = Model{a, b, true};
+        ++connects;
+      } else if (u < p_connect + p_close) {
+        auto it = pick(model);
+        if (it->second.open) {
+          net.close(it->first);
+          it->second.open = false;
+          closing.push_back(it->first);
+          ++closes;
+        }
+      } else {
+        auto it = pick(model);
+        const bool from_a = std::uniform_int_distribution<int>(0, 1)(rng) == 0;
+        net.send(it->first, from_a ? it->second.a : it->second.b,
+                 gnutella::make_ping(message_rng));
+        ++(it->second.open ? delivered : dropped);
+      }
+    }
+    max_live = std::max(max_live, model.size());
+    // Every event of the round, closes included, fires one latency later.
+    sim.run_until(sim.now() + 1.0);
+    for (const ConnId id : closing) {
+      model.erase(id);
+      erased.push_back(id);
+    }
+    for (const auto& [id, c] : model) {
+      ASSERT_EQ(net.is_open(id), c.open) << "conn " << id;
+      ASSERT_EQ(net.peer_of(id, c.a), c.b) << "conn " << id;
+      ASSERT_EQ(net.peer_of(id, c.b), c.a) << "conn " << id;
+    }
+    for (const ConnId id : closing) {
+      EXPECT_FALSE(net.is_open(id));
+      EXPECT_THROW(net.peer_of(id, 0), std::invalid_argument);
+    }
+    ASSERT_EQ(net.messages_delivered(), delivered);
+    ASSERT_EQ(net.messages_dropped(), dropped);
+  }
+  EXPECT_GE(connects, 10000u);
+  EXPECT_GE(closes, 5000u);
+  EXPECT_GT(max_live, 300u);
+  for (const ConnId id : erased) {
+    EXPECT_FALSE(net.is_open(id));
+    EXPECT_THROW(net.peer_of(id, 0), std::invalid_argument);
+  }
+  EXPECT_FALSE(net.is_open(0));
+  EXPECT_FALSE(net.is_open(last_id + 1));
+  EXPECT_THROW(net.send(last_id + 1, 0, gnutella::make_ping(message_rng)),
+               std::invalid_argument);
 }
 
 TEST(Network, RejectsNegativeLatency) {
