@@ -581,8 +581,11 @@ int main(int argc, char** argv) {
             << a4.body.sigma << ")+Pareto(" << a4.tail_alpha << ")\n";
 
   std::cout << "\n== 5. full refit -> generator-ready model ==\n";
-  const auto refit =
-      streaming ? streaming->model : analysis::fit_workload_model(*dataset);
+  const auto refit = streaming ? streaming->model
+                               : analysis::fit_workload_model_from_parts(
+                                     analysis::geographic_distribution(*dataset),
+                                     passive, fits,
+                                     analysis::DailyQueryTables(*dataset));
   std::cout << "  refit passive fraction NA: " << refit.passive_fraction[na]
             << " (ground truth 0.825)\n"
             << "  refit drift: " << refit.popularity.daily_drift

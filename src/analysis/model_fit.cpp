@@ -117,12 +117,13 @@ core::WorkloadModel fit_workload_model(const TraceDataset& dataset,
                                        const core::WorkloadModel& fallback) {
   return fit_workload_model_from_parts(
       geographic_distribution(dataset), passive_fraction(dataset),
-      session_measures(dataset), DailyQueryTables(dataset), fallback);
+      fit_appendix_tables(session_measures(dataset)),
+      DailyQueryTables(dataset), fallback);
 }
 
 core::WorkloadModel fit_workload_model_from_parts(
     const GeographyByHour& geography, const PassiveFraction& passive,
-    const SessionMeasures& measures, const DailyQueryTables& tables,
+    const AppendixFits& fits, const DailyQueryTables& tables,
     const core::WorkloadModel& fallback) {
   core::WorkloadModel model = fallback;  // inherit anything we cannot fit
 
@@ -143,9 +144,6 @@ core::WorkloadModel fit_workload_model_from_parts(
   }
 
   // ---- Appendix distribution fits --------------------------------------
-  const FitSplits splits;
-  const AppendixFits fits = fit_appendix_tables(measures, splits);
-
   for (std::size_t r = 0; r < kRegions; ++r) {
     if (fits.queries[r].sigma > 0.0) {
       model.queries_per_session[r] =

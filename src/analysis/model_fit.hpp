@@ -81,13 +81,11 @@ core::WorkloadModel fit_workload_model(const TraceDataset& dataset,
                                        const core::WorkloadModel& fallback =
                                            core::WorkloadModel::paper_default());
 
-/// The same model assembly from already-computed measures — the form the
-/// streaming pass uses, since it produces geography/passive/measures/
-/// popularity tables incrementally instead of from a TraceDataset.
-/// fit_workload_model() is exactly this on the materialized measures.
+/// The same assembly from parts a caller already holds (the streaming
+/// pass, the pipeline): fit_workload_model() is exactly this on a dataset.
 core::WorkloadModel fit_workload_model_from_parts(
     const GeographyByHour& geography, const PassiveFraction& passive,
-    const SessionMeasures& measures, const DailyQueryTables& tables,
+    const AppendixFits& fits, const DailyQueryTables& tables,
     const core::WorkloadModel& fallback =
         core::WorkloadModel::paper_default());
 

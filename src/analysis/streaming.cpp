@@ -855,7 +855,7 @@ class StreamingPass {
       result.fits = fit_appendix_tables(result.measures, FitSplits{});
       tables_.finalize(stats_.last_time);
       result.model = fit_workload_model_from_parts(
-          result.geography, result.passive, result.measures, tables_,
+          result.geography, result.passive, result.fits, tables_,
           options_.fallback);
     }
     stats_out_.events = events_;

@@ -55,8 +55,6 @@ void MeasurementNode::on_handshake(sim::ConnId conn,
 
   if (handshake.is_connect_request) {
     // Step 2: accept or refuse based on capacity and admission control.
-    it->second.user_agent = handshake.user_agent();
-    it->second.ultrapeer = handshake.is_ultrapeer();
     if (sessions_.size() + accepted_pending_ >= config_.max_connections) {
       ++rejected_;
       refuse_connection(conn);
@@ -77,6 +75,8 @@ void MeasurementNode::on_handshake(sim::ConnId conn,
       pending_.erase(it);
       return;
     }
+    it->second.user_agent = handshake.user_agent();
+    it->second.ultrapeer = handshake.is_ultrapeer();
     it->second.accepted = true;
     ++accepted_pending_;
     network_.send_handshake(
@@ -97,7 +97,7 @@ void MeasurementNode::refuse_connection(sim::ConnId conn) {
       gnutella::Handshake::ok_response(config_.user_agent, true);
   refusal.status_code = 503;
   refusal.status_phrase = "Busy";
-  network_.send_handshake(conn, id_, refusal);
+  network_.send_handshake(conn, id_, std::move(refusal));
   network_.close(conn);
 }
 

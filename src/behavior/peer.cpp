@@ -88,7 +88,7 @@ void SimulatedPeer::schedule_planned_send(std::size_t index) {
   auto& sim = network_.simulator();
   slots_[kSlotPlan] = sim.schedule_at(std::max(at, sim.now()), [this, index] {
     if (!alive()) return;
-    network_.send(conn_, id_, plan_.sends[index].message);
+    network_.send(conn_, id_, plan_.sends[index].render());
     schedule_planned_send(index + 1);
   });
 }
@@ -152,8 +152,8 @@ bool SimulatedPeer::owns_content(const std::string& keywords) {
   if (!established_ || keywords.empty()) return false;
   // Built on the first forwarded query: most peers never receive one.
   if (!shared_built_) {
-    for (const auto& shared : plan_.shared_keywords) {
-      shared_canonical_.insert(gnutella::canonical_keywords(shared));
+    for (const std::string* shared : plan_.shared_keywords) {
+      shared_canonical_.insert(gnutella::canonical_keywords(*shared));
     }
     shared_built_ = true;
   }
@@ -165,8 +165,8 @@ bool SimulatedPeer::owns_content(const std::string& keywords) {
 
 void SimulatedPeer::send_route_table() {
   gnutella::QrpTable table(12);
-  for (const auto& keywords : plan_.shared_keywords) {
-    table.insert_keywords_of(keywords);
+  for (const std::string* keywords : plan_.shared_keywords) {
+    table.insert_keywords_of(*keywords);
   }
   network_.send(conn_, id_,
                 gnutella::make_route_table_update(rng_, table.to_patch()));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <string_view>
 
 #include "sim/simulator.hpp"
 
@@ -15,22 +15,18 @@ std::size_t day_at(double t) {
   return t <= 0.0 ? 0 : static_cast<std::size_t>(sim::day_index(t));
 }
 
-/// A user-generated query as received by the node: hops already 1.
-gnutella::Message user_query(stats::Rng& rng, std::string text) {
-  gnutella::Message m = gnutella::make_query(rng, std::move(text), {}, 6);
-  m.hops = 1;
-  return m;
+/// A user-generated query (hops 1 at the node): its GUID draw.
+PlannedSend user_query(double at, stats::Rng& rng, const std::string& text) {
+  return PlannedSend{at, gnutella::Guid::generate(rng), &text};
 }
 
 /// SHA1 source-search re-query (filter rule 1): empty keywords + urn.
-gnutella::Message sha1_query(stats::Rng& rng) {
-  std::ostringstream urn;
-  urn << "urn:sha1:";
+PlannedSend sha1_query(double at, stats::Rng& rng) {
   static constexpr char kBase32[] = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567";
-  for (int i = 0; i < 32; ++i) urn << kBase32[rng.uniform_index(32)];
-  gnutella::Message m = gnutella::make_query(rng, "", urn.str(), 6);
-  m.hops = 1;
-  return m;
+  PlannedSend send{at};
+  for (char& c : send.sha1) c = kBase32[rng.uniform_index(32)];
+  send.guid = gnutella::Guid::generate(rng);
+  return send;
 }
 
 /// Remote descriptor hop/TTL roll: hops 2..7, TTL the unused remainder.
@@ -46,6 +42,18 @@ std::uint32_t sample_shared_files(const ClientProfile& profile, stats::Rng& rng)
 }
 
 }  // namespace
+
+gnutella::Message PlannedSend::render() const {
+  gnutella::QueryPayload query;
+  if (keywords != nullptr) {
+    query.keywords = *keywords;
+  } else {
+    constexpr std::string_view kUrnPrefix = "urn:sha1:";
+    query.sha1_urn.reserve(kUrnPrefix.size() + sha1.size());
+    query.sha1_urn.append(kUrnPrefix).append(sha1.data(), sha1.size());
+  }
+  return gnutella::Message{guid, 6, 1, std::move(query)};
+}
 
 PeerPlanner::PeerPlanner(core::SessionSampler& sampler,
                          const geo::IpAllocator& allocator,
@@ -66,7 +74,7 @@ PeerPlan PeerPlanner::plan(double abs_start, geo::Region region,
   plan.shared_keywords.reserve(shared_sample);
   for (std::size_t i = 0; i < shared_sample; ++i) {
     plan.shared_keywords.push_back(
-        sampler_.vocabulary().sample_query(region, day_at(abs_start), rng));
+        &sampler_.vocabulary().sample_query(region, day_at(abs_start), rng));
   }
 
   if (plan.quick_disconnect) {
@@ -91,10 +99,14 @@ PeerPlan PeerPlanner::plan(double abs_start, geo::Region region,
 
   add_preconnect_replay(plan, abs_start, region, profile, rng);
 
-  std::stable_sort(plan.sends.begin(), plan.sends.end(),
-                   [](const PlannedSend& a, const PlannedSend& b) {
-                     return a.at < b.at;
-                   });
+  // Each source above appends in time order, so most plans (every
+  // passive one) are sorted already; stable_sort would still allocate.
+  const auto earlier = [](const PlannedSend& a, const PlannedSend& b) {
+    return a.at < b.at;
+  };
+  if (!std::is_sorted(plan.sends.begin(), plan.sends.end(), earlier)) {
+    std::stable_sort(plan.sends.begin(), plan.sends.end(), earlier);
+  }
   return plan;
 }
 
@@ -118,7 +130,10 @@ void PeerPlanner::add_user_session(PeerPlan& plan, double abs_start,
     if (plan.sends.size() >= kMaxPlannedSends) break;
     const auto& q = session.queries[i];
     const double rel = q.time - session.start;
-    plan.sends.push_back({rel, user_query(rng, q.text)});
+    // The catalog string q.text was copied from.
+    const std::string& text = sampler_.vocabulary().query_string(
+        q.query_class, q.rank, day_at(q.time));
+    plan.sends.push_back(user_query(rel, rng, text));
 
     // Rule-2 artifacts: the client automatically re-sends the query until
     // the user issues the next one (or the session ends).
@@ -137,7 +152,7 @@ void PeerPlanner::add_user_session(PeerPlan& plan, double abs_start,
         }
         t += gap;
         if (t >= window_end) break;
-        plan.sends.push_back({t, user_query(rng, q.text)});
+        plan.sends.push_back(user_query(t, rng, text));
       }
     }
   }
@@ -151,7 +166,7 @@ void PeerPlanner::add_user_session(PeerPlan& plan, double abs_start,
     for (int i = 0; i < kMaxSha1PerSession; ++i) {
       t += rng.exponential(profile.sha1_requery_rate);
       if (t >= plan.duration) break;
-      plan.sends.push_back({t, sha1_query(rng)});
+      plan.sends.push_back(sha1_query(t, rng));
     }
   }
 }
@@ -166,17 +181,18 @@ void PeerPlanner::add_preconnect_replay(PeerPlan& plan, double abs_start,
   // replays them as soon as the handshake completes (rules 4/5).  The
   // strings are genuine user queries, so they count for popularity and
   // #queries but not for interarrival (Section 3.3).
-  std::vector<std::string> texts;
-  texts.reserve(static_cast<std::size_t>(profile.preconnect_replay_queries));
+  // Per-thread scratch: shards plan concurrently.
+  thread_local std::vector<const std::string*> texts;
+  texts.clear();
   for (int i = 0; i < profile.preconnect_replay_queries; ++i) {
     texts.push_back(
-        sampler_.vocabulary().sample_query(region, day_at(abs_start), rng));
+        &sampler_.vocabulary().sample_query(region, day_at(abs_start), rng));
   }
   double t = 0.2;
   for (int cycle = 0; cycle < profile.preconnect_replay_cycles; ++cycle) {
-    for (const auto& text : texts) {
+    for (const std::string* text : texts) {
       if (t >= plan.duration) return;
-      plan.sends.push_back({t, user_query(rng, text)});
+      plan.sends.push_back(user_query(t, rng, *text));
       t += profile.preconnect_replay_gap;
     }
   }

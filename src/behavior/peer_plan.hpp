@@ -10,6 +10,8 @@
 // methods below; pre-planning them would hold megabytes per long session.
 #pragma once
 
+#include <array>
+#include <string>
 #include <vector>
 
 #include "behavior/client_profile.hpp"
@@ -26,10 +28,24 @@ enum class EndMode {
   kTeardown,  // transport close without BYE
 };
 
-/// One scheduled outbound descriptor, relative to handshake completion.
+/// One scheduled outbound QUERY, relative to handshake completion.  A
+/// plan holds these small descriptors rather than Messages: most peers
+/// are refused at capacity and never send (DESIGN.md §15), so the peer
+/// renders each Message only when it sends it.  Every random draw (the
+/// SHA1 digest, then the GUID) is made at plan time, in the order the
+/// Message factories make it.
 struct PlannedSend {
   double at = 0.0;  // seconds after the session becomes established
-  gnutella::Message message;
+  gnutella::Guid guid;
+  /// The query text: a catalog string of the planner's
+  /// core::QueryVocabulary, whose address outlives the plan.  Null for a
+  /// rule-1 re-query, whose keywords are empty.
+  const std::string* keywords = nullptr;
+  /// The base32 digest of a rule-1 re-query's "urn:sha1:" URN.
+  std::array<char, 32> sha1{};
+
+  /// The descriptor as the node receives it: a QUERY with TTL 6, hops 1.
+  gnutella::Message render() const;
 };
 
 /// The bounded script for one connection.
@@ -43,8 +59,9 @@ struct PeerPlan {
   /// The query strings this peer's shared files match (sampled from the
   /// popularity model, so popular content is replicated on more peers).
   /// Leaves summarize these in a QRP table for the ultrapeer; QUERYHIT
-  /// responses come from exact canonical matches against this set.
-  std::vector<std::string> shared_keywords;
+  /// responses come from exact canonical matches against this set.  They
+  /// point at catalog strings, like PlannedSend::keywords.
+  std::vector<const std::string*> shared_keywords;
 
   std::vector<PlannedSend> sends; // user queries + artifacts, sorted by .at
 };
@@ -60,7 +77,8 @@ struct BackgroundTrafficConfig {
 
 /// Builds connection scripts and mints the lazily-generated remote
 /// descriptors.  Holds references; callers keep the sampler and allocator
-/// alive for the planner's lifetime.
+/// alive for the planner's lifetime, and the sampler for as long as any
+/// plan it made is read (plans point into its vocabulary).
 class PeerPlanner {
  public:
   PeerPlanner(core::SessionSampler& sampler, const geo::IpAllocator& allocator,

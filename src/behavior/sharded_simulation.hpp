@@ -14,10 +14,12 @@
 // concurrently without synchronization, and the merged output is
 // byte-identical for ANY thread count, including n_threads = 1.
 //
-// Replicas also answer the finite-measurement-bias problem (Benamara &
-// Magnien, arXiv:1104.3694): tail estimates of heavy-tailed session
-// measures need many long observation windows, not one short one —
-// affordable only when the replicas run in parallel.
+// Replicas add sessions but do not remove the finite-window bias of
+// Benamara & Magnien (arXiv:1104.3694): a session counts only if it
+// starts and ends inside its shard's window, and every replica observes
+// the same time-of-day slice, so many short shards under-sample long
+// sessions more than one long shard of the same exposure does
+// (EXPERIMENTS.md, "Scaling note").
 #pragma once
 
 #include <array>

@@ -248,12 +248,12 @@ void TraceSimulation::begin_outage(std::size_t index) {
   // casualties is a pure function of (seed, scenario).  Crashes are
   // silent — the measurement node only finds out via its idle probe,
   // exactly like fault-layer crashes.
-  for (const auto& [id, region] : peer_regions_) {
-    if (region != outage.region || net_.is_crashed(id)) continue;
+  for (const auto& [id, live] : peers_) {
+    if (live.region != outage.region || net_.is_crashed(id)) continue;
     if (!scenario_rng_.bernoulli(outage.severity)) continue;
     net_.crash_node(id);
     ++outage_crashes_;
-    ++outage_crashes_by_region_[geo::region_index(region)];
+    ++outage_crashes_by_region_[geo::region_index(live.region)];
   }
 }
 
@@ -312,12 +312,12 @@ void TraceSimulation::spawn_peer(const ClientPopulation& clients) {
         // the peer's own on_connection_closed frame.
         sim_.schedule_after(0.0, [this, id] {
           peers_.erase(id);
-          peer_regions_.erase(id);
         });
       });
   peer->start(node_id_, ip);
-  peer_regions_.emplace(peer->id(), region);
-  peers_.emplace(peer->id(), std::move(peer));
+  // Ids ascend, so every peer goes in at the end.
+  const sim::NodeId id = peer->id();
+  peers_.emplace_hint(peers_.end(), id, LivePeer{std::move(peer), region});
   ++peers_spawned_;
 }
 

@@ -241,10 +241,13 @@ class TraceSimulation {
   /// network, the node and the timeline sink, same null-check discipline.
   std::unique_ptr<obs::TimelineRecorder> timeline_;
 
-  std::unordered_map<sim::NodeId, std::unique_ptr<SimulatedPeer>> peers_;
-  /// Region of every live peer, ordered by NodeId so outage draws iterate
-  /// deterministically on every platform.
-  std::map<sim::NodeId, core::Region> peer_regions_;
+  struct LivePeer {
+    std::unique_ptr<SimulatedPeer> peer;
+    core::Region region = core::Region::kOther;
+  };
+  /// Every live peer with its region, ordered by NodeId so outage draws
+  /// iterate deterministically on every platform.
+  std::map<sim::NodeId, LivePeer> peers_;
   /// Dedicated RNG stream for outage crash draws; constructed always,
   /// consulted only when an outage with severity > 0 fires.
   stats::Rng scenario_rng_;

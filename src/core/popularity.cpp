@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace p2pgen::core {
 namespace {
@@ -164,6 +165,8 @@ void QueryVocabulary::ensure_day(std::size_t day) {
   // catalog; all earlier days stay accessible so out-of-order lookups
   // read the right snapshot.
   day = std::min(day, max_day_);
+  // query_string() hands out references that must survive this growth.
+  static_assert(std::is_nothrow_move_constructible_v<DayCatalogs>);
   while (days_.size() <= day) {
     // Hot-set drift: every rank slot independently re-draws a fresh query
     // with probability daily_drift (Figure 10).

@@ -126,10 +126,17 @@ class QueryVocabulary {
   /// full history is kept, so out-of-order day access (overlapping
   /// sessions, heavy-tail query timings) always reads the correct day's
   /// catalog.
+  ///
+  /// The returned reference stays valid, and its text unchanged, for the
+  /// vocabulary's lifetime: a day's catalog is never modified once built,
+  /// and materializing later days only moves the per-day arrays, whose
+  /// vectors keep their buffers.  Peer plans hold these references
+  /// instead of copies (behavior::PlannedSend).
   const std::string& query_string(QueryClass cls, std::size_t rank,
                                   std::size_t day);
 
-  /// Convenience: sample a full query for a peer in `region` on `day`.
+  /// Convenience: sample a full query for a peer in `region` on `day`
+  /// (a catalog reference, as above).
   const std::string& sample_query(Region region, std::size_t day,
                                   stats::Rng& rng);
 
@@ -143,7 +150,8 @@ class QueryVocabulary {
   void set_max_day(std::size_t max_day) noexcept { max_day_ = max_day; }
 
  private:
-  /// One day's catalogs: per class, rank -> query string.
+  /// One day's catalogs: per class, rank -> query string.  Its move
+  /// constructor is noexcept, so days_ moves (never copies) it on growth.
   using DayCatalogs = std::array<std::vector<std::string>, kQueryClassCount>;
 
   void ensure_day(std::size_t day);

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 
@@ -30,7 +31,17 @@ struct Guid {
   /// Lowercase hex string, e.g. "00ff3a...".
   std::string to_string() const;
 
-  friend bool operator==(const Guid&, const Guid&) = default;
+  /// Compares the two 64-bit words: the defaulted byte-wise form
+  /// compiles to an out-of-line memcmp call, and the routing table
+  /// compares GUIDs on every probe.
+  friend bool operator==(const Guid& a, const Guid& b) noexcept {
+    std::uint64_t a_lo, a_hi, b_lo, b_hi;
+    std::memcpy(&a_lo, a.bytes.data(), 8);
+    std::memcpy(&a_hi, a.bytes.data() + 8, 8);
+    std::memcpy(&b_lo, b.bytes.data(), 8);
+    std::memcpy(&b_hi, b.bytes.data() + 8, 8);
+    return ((a_lo ^ b_lo) | (a_hi ^ b_hi)) == 0;
+  }
   auto operator<=>(const Guid&) const = default;
 };
 

@@ -1,29 +1,34 @@
 #include "gnutella/handshake.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 
 namespace p2pgen::gnutella {
 namespace {
 
+// The "C" locale's isspace/tolower, without the locale lookups: nothing
+// in p2pgen calls setlocale, and bytes >= 0x80 are left alone either way.
+constexpr bool is_ascii_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+constexpr char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 std::string to_lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  for (char& c : s) c = ascii_lower(c);
   return s;
 }
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+std::string_view trim(std::string_view s) {
+  while (!s.empty() && is_ascii_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_ascii_space(s.back())) s.remove_suffix(1);
+  return s;
 }
 
-bool key_less(const HeaderMap::Entry& entry, const std::string& key) {
-  return entry.first < key;
+bool key_less(const HeaderMap::Entry& entry, std::string_view key) {
+  return std::string_view(entry.first) < key;
 }
 
 }  // namespace
@@ -45,30 +50,40 @@ void HeaderMap::set(std::string key, std::string value) {
   }
 }
 
-const HeaderMap::Entry* HeaderMap::find(const std::string& lower_key) const {
+const std::string* HeaderMap::find_lower(
+    std::string_view lower_key) const noexcept {
   const auto it =
       std::lower_bound(headers_.begin(), headers_.end(), lower_key, key_less);
-  return it != headers_.end() && it->first == lower_key ? &*it : nullptr;
+  return it != headers_.end() && it->first == lower_key ? &it->second
+                                                        : nullptr;
 }
 
 std::optional<std::string> HeaderMap::get(const std::string& key) const {
-  const Entry* entry = find(to_lower(key));
-  if (entry == nullptr) return std::nullopt;
-  return entry->second;
+  const std::string* value = find_lower(to_lower(key));
+  if (value == nullptr) return std::nullopt;
+  return *value;
 }
 
 bool HeaderMap::contains(const std::string& key) const {
-  return find(to_lower(key)) != nullptr;
+  return find_lower(to_lower(key)) != nullptr;
 }
 
-std::string Handshake::user_agent() const {
-  return headers.get("user-agent").value_or("");
+const std::string& Handshake::user_agent() const noexcept {
+  static const std::string kMissing;
+  const std::string* value = headers.find_lower("user-agent");
+  return value != nullptr ? *value : kMissing;
 }
 
-bool Handshake::is_ultrapeer() const {
-  const auto v = headers.get("x-ultrapeer");
-  if (!v) return false;
-  return to_lower(trim(*v)) == "true";
+bool Handshake::is_ultrapeer() const noexcept {
+  const std::string* value = headers.find_lower("x-ultrapeer");
+  if (value == nullptr) return false;
+  const std::string_view v = trim(*value);
+  constexpr std::string_view kTrue = "true";
+  if (v.size() != kTrue.size()) return false;
+  for (std::size_t i = 0; i < kTrue.size(); ++i) {
+    if (ascii_lower(v[i]) != kTrue[i]) return false;
+  }
+  return true;
 }
 
 std::string Handshake::to_text() const {
@@ -99,7 +114,7 @@ std::optional<Handshake> Handshake::parse(const std::string& text) {
     std::istringstream status(line.substr(13));
     if (!(status >> hs.status_code)) return std::nullopt;
     std::getline(status, hs.status_phrase);
-    hs.status_phrase = trim(hs.status_phrase);
+    hs.status_phrase = std::string(trim(hs.status_phrase));
   } else {
     return std::nullopt;
   }
@@ -109,7 +124,9 @@ std::optional<Handshake> Handshake::parse(const std::string& text) {
     if (line.empty()) break;  // end of headers
     const auto colon = line.find(':');
     if (colon == std::string::npos) return std::nullopt;
-    hs.headers.set(trim(line.substr(0, colon)), trim(line.substr(colon + 1)));
+    const std::string_view header = line;
+    hs.headers.set(std::string(trim(header.substr(0, colon))),
+                   std::string(trim(header.substr(colon + 1))));
   }
   return hs;
 }
@@ -117,9 +134,11 @@ std::optional<Handshake> Handshake::parse(const std::string& text) {
 Handshake Handshake::connect_request(std::string user_agent, bool ultrapeer) {
   Handshake hs;
   hs.is_connect_request = true;
-  hs.headers.set("User-Agent", std::move(user_agent));
-  hs.headers.set("X-Ultrapeer", ultrapeer ? "True" : "False");
-  hs.headers.set("X-Query-Routing", "0.1");
+  auto& entries = hs.headers.headers_;
+  entries.reserve(3);
+  entries.emplace_back("user-agent", std::move(user_agent));
+  entries.emplace_back("x-query-routing", "0.1");
+  entries.emplace_back("x-ultrapeer", ultrapeer ? "True" : "False");
   return hs;
 }
 
@@ -128,8 +147,10 @@ Handshake Handshake::ok_response(std::string user_agent, bool ultrapeer) {
   hs.is_connect_request = false;
   hs.status_code = 200;
   hs.status_phrase = "OK";
-  hs.headers.set("User-Agent", std::move(user_agent));
-  hs.headers.set("X-Ultrapeer", ultrapeer ? "True" : "False");
+  auto& entries = hs.headers.headers_;
+  entries.reserve(2);
+  entries.emplace_back("user-agent", std::move(user_agent));
+  entries.emplace_back("x-ultrapeer", ultrapeer ? "True" : "False");
   return hs;
 }
 

@@ -13,6 +13,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,8 @@ namespace p2pgen::gnutella {
 /// Case-insensitive header map, normalized to lower-case keys on insert.
 /// A handshake carries a handful of headers, so they live in one small
 /// vector kept sorted by key: serialization order is the key order.
+/// The standard handshakes are built without set(): their keys are
+/// lower-case literals appended in order into one reserved vector.
 class HeaderMap {
  public:
   using Entry = std::pair<std::string, std::string>;
@@ -33,7 +36,10 @@ class HeaderMap {
   const std::vector<Entry>& entries() const noexcept { return headers_; }
 
  private:
-  const Entry* find(const std::string& lower_key) const;
+  friend struct Handshake;
+
+  /// The value under an already lower-cased key, or null.
+  const std::string* find_lower(std::string_view lower_key) const noexcept;
 
   std::vector<Entry> headers_;
 };
@@ -46,9 +52,12 @@ struct Handshake {
   std::string status_phrase;  // e.g. "OK"
   HeaderMap headers;
 
-  /// Convenience accessors for the headers the paper uses.
-  std::string user_agent() const;
-  bool is_ultrapeer() const;
+  /// Convenience accessors for the headers the paper uses; neither
+  /// copies.  user_agent() is empty when the header is missing.  An
+  /// X-Ultrapeer value is true when it reads "true" in any case,
+  /// surrounding whitespace ignored.
+  const std::string& user_agent() const noexcept;
+  bool is_ultrapeer() const noexcept;
 
   /// Serializes to the wire text (with trailing blank line).
   std::string to_text() const;
@@ -56,10 +65,13 @@ struct Handshake {
   /// Parses a handshake block.  Returns std::nullopt on malformed input.
   static std::optional<Handshake> parse(const std::string& text);
 
-  /// Builds a CONNECT request.
+  /// Builds a CONNECT request.  Its headers are the ones set() would
+  /// store, built with one allocation for the entries (plus the
+  /// User-Agent's own, when it is too long for the inline buffer).
   static Handshake connect_request(std::string user_agent, bool ultrapeer);
 
-  /// Builds a 200-OK response.
+  /// Builds a 200-OK response the same way.  A refusal is this response
+  /// with its status changed (MeasurementNode sends "503 Busy").
   static Handshake ok_response(std::string user_agent, bool ultrapeer);
 };
 

@@ -8,6 +8,7 @@
 #include "analysis/dataset.hpp"
 #include "analysis/filters.hpp"
 #include "behavior/trace_simulation.hpp"
+#include "gnutella/codec.hpp"
 
 namespace p2pgen::behavior {
 namespace {
@@ -116,7 +117,8 @@ TEST_F(PlannerFixture, ArtifactsCarryRule1And2Signatures) {
                                    one.profiles()[0], rng);
     std::unordered_set<std::string> texts;
     for (const auto& send : plan.sends) {
-      const auto* q = std::get_if<gnutella::QueryPayload>(&send.message.payload);
+      const gnutella::Message message = send.render();
+      const auto* q = std::get_if<gnutella::QueryPayload>(&message.payload);
       if (q == nullptr) continue;
       if (q->has_sha1() && q->keywords.empty()) saw_sha1 = true;
       if (!q->keywords.empty() && !texts.insert(q->keywords).second) {
@@ -126,6 +128,40 @@ TEST_F(PlannerFixture, ArtifactsCarryRule1And2Signatures) {
   }
   EXPECT_TRUE(saw_sha1);
   EXPECT_TRUE(saw_repeat);
+}
+
+TEST_F(PlannerFixture, RenderedTextsSurviveVocabularyGrowth) {
+  // Plans point into the vocabulary's catalogs instead of copying them;
+  // 30 more days of drift must leave every rendered send unchanged.
+  const auto clients = ClientPopulation::default_population();
+  std::vector<PeerPlan> plans;
+  std::vector<std::vector<std::uint8_t>> before;
+  std::vector<std::string> shared_before;
+  for (int i = 0; i < 200; ++i) {
+    plans.push_back(planner.plan(60.0 * i, core::Region::kEurope,
+                                 clients.sample(rng), rng));
+    for (const auto& send : plans.back().sends) {
+      before.push_back(gnutella::encode(send.render()));
+    }
+    for (const std::string* k : plans.back().shared_keywords) {
+      shared_before.push_back(*k);
+    }
+  }
+  ASSERT_FALSE(before.empty());
+  ASSERT_FALSE(shared_before.empty());
+  const std::size_t later = sampler.vocabulary().current_day() + 30;
+  (void)sampler.vocabulary().query_string(core::QueryClass::kAll, 1, later);
+  ASSERT_EQ(sampler.vocabulary().current_day(), later);
+  std::size_t i = 0;
+  std::size_t k = 0;
+  for (const auto& plan : plans) {
+    for (const auto& send : plan.sends) {
+      EXPECT_EQ(gnutella::encode(send.render()), before[i++]);
+    }
+    for (const std::string* shared : plan.shared_keywords) {
+      EXPECT_EQ(*shared, shared_before[k++]);
+    }
+  }
 }
 
 TEST_F(PlannerFixture, RemoteMessagesHaveRemoteHops) {

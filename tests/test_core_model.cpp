@@ -148,6 +148,28 @@ TEST(QueryVocabulary, ClassStringsAreDisjoint) {
   }
 }
 
+TEST(QueryVocabulary, CatalogStringsKeepTheirAddresses) {
+  // Peer plans hold references into the catalogs, so materializing later
+  // days must neither move nor rewrite a string handed out earlier.
+  QueryVocabulary vocab(PopularityModel::paper_default(), 11);
+  std::vector<const std::string*> refs;
+  std::vector<std::string> copies;
+  for (std::size_t day = 0; day < 3; ++day) {
+    for (std::size_t r = 1; r <= 40; ++r) {
+      refs.push_back(&vocab.query_string(QueryClass::kNaOnly, r, day));
+      copies.push_back(*refs.back());
+    }
+  }
+  (void)vocab.query_string(QueryClass::kNaOnly, 1, 60);  // days_ regrows
+  std::size_t i = 0;
+  for (std::size_t day = 0; day < 3; ++day) {
+    for (std::size_t r = 1; r <= 40; ++r, ++i) {
+      EXPECT_EQ(&vocab.query_string(QueryClass::kNaOnly, r, day), refs[i]);
+      EXPECT_EQ(*refs[i], copies[i]);
+    }
+  }
+}
+
 TEST(QueryVocabulary, EarlierDayRequestsDoNotThrow) {
   QueryVocabulary vocab(PopularityModel::paper_default(), 9);
   (void)vocab.query_string(QueryClass::kAll, 1, 5);

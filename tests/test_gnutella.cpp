@@ -513,6 +513,48 @@ TEST(Handshake, WireTextIsPinned) {
             "\r\n");
 }
 
+TEST(Handshake, IsUltrapeerReadsTrueInAnyCase) {
+  const auto ultrapeer = [](const char* value) {
+    Handshake hs;
+    hs.headers.set("X-Ultrapeer", value);
+    return hs.is_ultrapeer();
+  };
+  EXPECT_TRUE(ultrapeer("True"));
+  EXPECT_TRUE(ultrapeer(" true "));
+  EXPECT_TRUE(ultrapeer("TRUE"));
+  EXPECT_FALSE(ultrapeer("False"));
+  EXPECT_FALSE(ultrapeer("truex"));
+  EXPECT_FALSE(Handshake{}.is_ultrapeer());  // header missing
+}
+
+TEST(Handshake, UserAgentOfAParsedUpperCaseHeader) {
+  const auto parsed = Handshake::parse(
+      "GNUTELLA CONNECT/0.6\r\nUSER-AGENT:  Shareaza 1.8.10.4 \r\n\r\n");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->user_agent(), "Shareaza 1.8.10.4");
+  EXPECT_EQ(Handshake{}.user_agent(), "");
+}
+
+TEST(Handshake, BuiltHeadersEqualThoseSetStores) {
+  // The standard handshakes skip set(); their entries must be exactly
+  // what set() would have stored.
+  for (const bool ultrapeer : {true, false}) {
+    HeaderMap request;
+    request.set("User-Agent", "a client with a long user agent");
+    request.set("X-Ultrapeer", ultrapeer ? "True" : "False");
+    request.set("X-Query-Routing", "0.1");
+    EXPECT_EQ(Handshake::connect_request("a client with a long user agent",
+                                         ultrapeer)
+                  .headers.entries(),
+              request.entries());
+    HeaderMap response;
+    response.set("User-Agent", "node");
+    response.set("X-Ultrapeer", ultrapeer ? "True" : "False");
+    EXPECT_EQ(Handshake::ok_response("node", ultrapeer).headers.entries(),
+              response.entries());
+  }
+}
+
 TEST(Handshake, ParseRejectsGarbage) {
   EXPECT_FALSE(Handshake::parse("HTTP/1.1 200 OK\r\n\r\n").has_value());
   EXPECT_FALSE(Handshake::parse("").has_value());

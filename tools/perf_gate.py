@@ -16,6 +16,10 @@ so a change cannot loosen the gate that judges it.  Only workloads and
 `end_to_end` metrics that both BENCHMARK.json files define are gated;
 the others are listed as skipped.
 
+Per gated metric it prints both sides' medians, the relative change and
+how many pairs the change won (pair i is run i of each side; a tie is
+not a win).
+
 The gate fails (exit 1) when, on any gated workload, this checkout's
 median of a gated metric is worse than the base's median by more than
 the metric's relative `bound`, in its `better` direction; or when any
@@ -85,6 +89,13 @@ def verdict(metric, base, change):
     return delta, delta < -metric["bound"]
 
 
+def pairs_won(metric, base_values, change_values):
+    """How many pairs the change won: run i of each side is pair i."""
+    sign = -1 if metric["better"] == "lower" else 1
+    return sum(1 for b, c in zip(base_values, change_values)
+               if sign * (c - b) > 0)
+
+
 def metric_value(result, name):
     return ((result or {}).get("metrics", {}).get(name) or {}).get("value")
 
@@ -125,8 +136,10 @@ def gate_workload(workload, metrics, sides, args):
             continue
         medians = {side: statistics.median(vs) for side, vs in values.items()}
         delta, worse = verdict(metric, medians["base"], medians["change"])
+        won = pairs_won(metric, values["base"], values["change"])
         print(f"  {name:24} base {medians['base']:>14.6g}  "
               f"change {medians['change']:>14.6g}  {delta:+7.1%} "
+              f"won {won}/{args.pairs} "
               f"(bound {metric['bound']:.0%}, {metric['better']} is better)"
               + ("  WORSE" if worse else ""))
         if worse:
