@@ -40,19 +40,23 @@
 // included — is computed by analysis::analyze_spools(), bit-identical to
 // the materialized chain an in-memory run uses, at a fraction of the
 // peak RSS (bench_streaming measures both).  A finished shard whose spool
-// holds fewer or more records than its MANIFEST recorded is refused.
+// holds fewer or more records than its MANIFEST recorded is refused.  A
+// finished shard's qtrace hops and timeline ticks come from its sidecar;
+// one that is missing, damaged or made at another --qtrace-sample or
+// --timeline-tick is rebuilt by replaying the shard, so a resume prints
+// what an in-memory run with the same flags prints.
 //
 // --salvage (needs --checkpoint-dir=) tolerates media damage to the
 // checkpoint with bounded, accounted loss (DESIGN.md §14): damaged
 // unfinished spools are truncated and re-simulated (no loss), damaged
-// finished spools are read around the bad byte ranges, damaged sidecars
-// are rebuilt by replay, and sessions overlapping a loss window are
-// censored from the filters and fits — counted in the report's "gaps"
-// block, never silently mixed in.  With a clean checkpoint the output is
-// bit-identical to a strict run.  A run that stops cleanly on a write
-// error (disk full) exits with code 75 (EX_TEMPFAIL) after recording the
-// machine-readable reason in the MANIFEST; tools/supervise.py retries
-// such runs with --resume and bounded backoff.
+// finished spools are read around the bad byte ranges, and sessions
+// overlapping a loss window are censored from the filters and fits —
+// counted in the report's "gaps" block, never silently mixed in.  With a
+// clean checkpoint the output is bit-identical to a strict run.  A run
+// that stops cleanly on a write error (disk full) exits with code 75
+// (EX_TEMPFAIL) after recording the machine-readable reason in the
+// MANIFEST; tools/supervise.py retries such runs with --resume and
+// bounded backoff.
 //
 // --qtrace-sample=<rate> turns on query-lifecycle tracing (DESIGN.md §12):
 // a deterministic FNV-sampled subset of queries records every hop of its
@@ -62,8 +66,9 @@
 // byte-identical across runs.  Derived qtrace.* histograms (hop count,
 // fan-out, drop reasons, hit latency) land in the metrics report;
 // --query-trace=<dir> additionally dumps the merged hop stream as
-// qtrace.bin (compact binary) + qtrace.json, and --trace-json gains
-// chrome://tracing flow arrows connecting each query's hops.
+// qtrace.bin (a sidecar file holding only the hops, obs/sidecar.hpp) +
+// qtrace.json, and --trace-json gains chrome://tracing flow arrows
+// connecting each query's hops.
 //
 // --timeline-tick=<secs> turns on sim-time metric timelines (DESIGN.md
 // §13): per-shard snapshots of the declared series set (query/QUERYHIT
@@ -93,10 +98,12 @@
 // shard, is the same run with n = 1, in memory or with --checkpoint-dir.
 //
 // An unknown --flag, a days or rate that is not a positive number, a
-// third argument other than faults/1/none/0, or a shards or threads
-// value that is not a positive integer prints a one-line usage error and
-// exits with code 1.
-#include <cctype>
+// third argument other than faults/1/none/0, a shards or threads value
+// that is not a positive integer, a --checkpoint-interval that is not an
+// integer >= 0, a --qtrace-sample outside [0, 1], or a --timeline-tick or
+// --heartbeat that is not a finite number >= 0 prints a one-line usage
+// error and exits with code 1.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -123,6 +130,7 @@
 #include "obs/metrics.hpp"
 #include "obs/process.hpp"
 #include "obs/qtrace.hpp"
+#include "obs/sidecar.hpp"
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
 #include "scenario/curated.hpp"
@@ -195,27 +203,30 @@ int usage_error(const std::string& problem) {
   return 1;
 }
 
-// The whole of `text` as a finite number > 0.
-bool parse_positive(const char* text, double& out) {
+// Bounds for parse_number: "> 0" is ">= the smallest positive double".
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+constexpr double kUnbounded = std::numeric_limits<double>::max();
+
+// The whole of `text` as a finite number in [lo, hi].
+bool parse_number(const char* text, double lo, double hi, double& out) {
   char* end = nullptr;
   const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(value) || value <= 0.0) {
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < lo ||
+      value > hi) {
     return false;
   }
   out = value;
   return true;
 }
 
-// The whole of `text` as a decimal integer in [1, UINT_MAX].
-bool parse_count(const char* text, unsigned& out) {
-  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*end != '\0' || value == 0 ||
-      value > std::numeric_limits<unsigned>::max()) {
-    return false;
-  }
-  out = static_cast<unsigned>(value);
+// The whole of `text` as a decimal integer in [lo, hi].
+template <typename T>
+bool parse_integer(const char* text, T lo, T hi, T& out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) return false;
+  out = value;
   return true;
 }
 
@@ -241,8 +252,11 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--checkpoint-dir=", 17) == 0) {
       durability.dir = argv[i] + 17;
     } else if (std::strncmp(argv[i], "--checkpoint-interval=", 22) == 0) {
-      durability.sync_interval_records =
-          static_cast<std::uint64_t>(std::atoll(argv[i] + 22));
+      if (!parse_integer<std::uint64_t>(
+              argv[i] + 22, 0, std::numeric_limits<std::uint64_t>::max(),
+              durability.sync_interval_records)) {
+        return usage_error("--checkpoint-interval must be an integer >= 0");
+      }
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       durability.resume = true;
     } else if (std::strcmp(argv[i], "--salvage") == 0) {
@@ -250,15 +264,22 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--scenario=", 11) == 0) {
       scenario_arg = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--qtrace-sample=", 16) == 0) {
-      qtrace_sample = std::atof(argv[i] + 16);
+      if (!parse_number(argv[i] + 16, 0.0, 1.0, qtrace_sample)) {
+        return usage_error("--qtrace-sample must be a number from 0 to 1");
+      }
     } else if (std::strncmp(argv[i], "--query-trace=", 14) == 0) {
       query_trace_dir = argv[i] + 14;
     } else if (std::strncmp(argv[i], "--timeline=", 11) == 0) {
       timeline_dir = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--timeline-tick=", 16) == 0) {
-      timeline_tick = std::atof(argv[i] + 16);
+      if (!parse_number(argv[i] + 16, 0.0, kUnbounded, timeline_tick)) {
+        return usage_error("--timeline-tick must be a finite number >= 0");
+      }
     } else if (std::strncmp(argv[i], "--heartbeat=", 12) == 0) {
-      durability.heartbeat_interval_seconds = std::atof(argv[i] + 12);
+      if (!parse_number(argv[i] + 12, 0.0, kUnbounded,
+                        durability.heartbeat_interval_seconds)) {
+        return usage_error("--heartbeat must be a finite number >= 0");
+      }
     } else if (std::strcmp(argv[i], "--list-scenarios") == 0) {
       std::cout << "curated scenarios (--scenario=<name>):\n";
       for (const auto& spec :
@@ -284,10 +305,11 @@ int main(int argc, char** argv) {
   bool faults_on = false;
   unsigned shards = 1;
   unsigned threads = std::max(1u, std::thread::hardware_concurrency());
-  if (args.size() > 0 && !parse_positive(args[0], days)) {
+  if (args.size() > 0 && !parse_number(args[0], kPositive, kUnbounded, days)) {
     return usage_error("days must be a positive number");
   }
-  if (args.size() > 1 && !parse_positive(args[1], arrival_rate)) {
+  if (args.size() > 1 &&
+      !parse_number(args[1], kPositive, kUnbounded, arrival_rate)) {
     return usage_error("arrival_rate must be a positive number");
   }
   if (args.size() > 2) {
@@ -297,10 +319,11 @@ int main(int argc, char** argv) {
     }
     faults_on = mode == "faults" || mode == "1";
   }
-  if (args.size() > 3 && !parse_count(args[3], shards)) {
+  constexpr unsigned kMaxCount = std::numeric_limits<unsigned>::max();
+  if (args.size() > 3 && !parse_integer(args[3], 1u, kMaxCount, shards)) {
     return usage_error("shards must be a positive integer");
   }
-  if (args.size() > 4 && !parse_count(args[4], threads)) {
+  if (args.size() > 4 && !parse_integer(args[4], 1u, kMaxCount, threads)) {
     return usage_error("threads must be a positive integer");
   }
   if (durability.resume && durability.dir.empty()) {
@@ -390,7 +413,7 @@ int main(int argc, char** argv) {
     try {
       const auto spool_dirs = behavior::simulate_to_spools(
           core::WorkloadModel::paper_default(), config, shards, threads,
-          durability, &recovery, &shard_stats);
+          durability, &recovery, &shard_stats, &qtrace, &timeline);
       std::cout << "  checkpoint dir:      " << durability.dir << "\n"
                 << "  recovery: " << recovery.records_recovered
                 << " records recovered, " << recovery.records_truncated
@@ -422,8 +445,6 @@ int main(int argc, char** argv) {
     // Mirror the materialized path's merge counter so the metric surface
     // the equivalence CI diffs is the same on both.
     obs::Registry::global().counter("sim.merged_events").add(streaming->events);
-    qtrace = std::move(streaming->qtrace);
-    timeline = std::move(streaming->timeline);
     std::cout << "  streaming pass:      " << streaming->streaming.segments_read
               << " segment(s), at most "
               << streaming->streaming.max_decoded_chunks
@@ -441,9 +462,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto stats = streaming ? streaming->stats : trace.stats();
-  const std::uint64_t trace_digest =
-      streaming ? streaming->trace_digest : trace::binary_digest(trace);
+  // The streaming pass computed these while it read the spools; an
+  // in-memory run makes one pass over the merged trace for each.
+  trace::TraceStats stats;
+  std::uint64_t trace_digest = 0;
+  if (streaming) {
+    stats = streaming->stats;
+    trace_digest = streaming->trace_digest;
+  } else {
+    {
+      obs::ObsSpan span("analysis.trace_stats");
+      stats = trace.stats();
+    }
+    obs::ObsSpan span("analysis.binary_digest");
+    trace_digest = trace::binary_digest(trace);
+  }
   const std::uint64_t trace_events =
       streaming ? streaming->events : trace.size();
   // The byte-identity handle: grep-able by the kill-and-resume and
@@ -473,15 +506,9 @@ int main(int argc, char** argv) {
               << " sampled queries (rate " << config.qtrace.sample_rate
               << ")\n";
   }
-  // The tick width actually in effect: the flag, or — on a resume over
-  // spools recorded with timelines on — the sidecars' own.
-  const double timeline_tick_effective =
-      streaming && streaming->timeline_tick_seconds > 0.0
-          ? streaming->timeline_tick_seconds
-          : config.timeline.tick_seconds;
-  if (timeline_tick_effective > 0.0) {
+  if (config.timeline.tick_seconds > 0.0) {
     std::cout << "  timeline:            " << timeline.size()
-              << " tick point(s) at " << timeline_tick_effective
+              << " tick point(s) at " << config.timeline.tick_seconds
               << " s/tick, digest " << std::hex << std::setfill('0')
               << std::setw(16) << obs::timeline_digest(timeline) << std::dec
               << std::setfill(' ') << "\n";
@@ -524,8 +551,11 @@ int main(int argc, char** argv) {
   if (streaming) {
     report = streaming->filters;
   } else {
-    dataset.emplace(
-        analysis::build_dataset(trace, geo::GeoIpDatabase::synthetic()));
+    {
+      obs::ObsSpan span("analysis.build_dataset");
+      dataset.emplace(
+          analysis::build_dataset(trace, geo::GeoIpDatabase::synthetic()));
+    }
     report = analysis::apply_filters(*dataset);
   }
   if (salvage_report.damaged()) {
@@ -581,11 +611,15 @@ int main(int argc, char** argv) {
             << a4.body.sigma << ")+Pareto(" << a4.tail_alpha << ")\n";
 
   std::cout << "\n== 5. full refit -> generator-ready model ==\n";
-  const auto refit = streaming ? streaming->model
-                               : analysis::fit_workload_model_from_parts(
-                                     analysis::geographic_distribution(*dataset),
-                                     passive, fits,
-                                     analysis::DailyQueryTables(*dataset));
+  core::WorkloadModel refit;
+  if (streaming) {
+    refit = streaming->model;
+  } else {
+    obs::ObsSpan span("analysis.refit");
+    refit = analysis::fit_workload_model_from_parts(
+        analysis::geographic_distribution(*dataset), passive, fits,
+        analysis::DailyQueryTables(*dataset));
+  }
   std::cout << "  refit passive fraction NA: " << refit.passive_fraction[na]
             << " (ground truth 0.825)\n"
             << "  refit drift: " << refit.popularity.daily_drift
@@ -600,8 +634,10 @@ int main(int argc, char** argv) {
   if (!query_trace_dir.empty()) {
     try {
       std::filesystem::create_directories(query_trace_dir);
-      const std::string bin_path = query_trace_dir + "/qtrace.bin";
-      obs::save_qtrace(bin_path, qtrace);
+      obs::Sidecar dump;
+      dump.qtrace_rate = config.qtrace.sample_rate;
+      dump.qtrace = qtrace;
+      obs::save_sidecar(query_trace_dir + "/qtrace.bin", dump);
       const std::string json_path = query_trace_dir + "/qtrace.json";
       std::ofstream json_out(json_path);
       obs::write_qtrace_json(json_out, qtrace);
@@ -620,11 +656,11 @@ int main(int argc, char** argv) {
       std::filesystem::create_directories(timeline_dir);
       const std::string csv_path = timeline_dir + "/timeline.csv";
       std::ofstream csv_out(csv_path);
-      write_timeline_csv(csv_out, timeline, timeline_tick_effective);
+      write_timeline_csv(csv_out, timeline, config.timeline.tick_seconds);
       if (!csv_out) throw std::runtime_error("failed writing " + csv_path);
       const std::string json_path = timeline_dir + "/timeline.json";
       std::ofstream json_out(json_path);
-      write_timeline_json(json_out, timeline, timeline_tick_effective);
+      write_timeline_json(json_out, timeline, config.timeline.tick_seconds);
       if (!json_out) throw std::runtime_error("failed writing " + json_path);
     } catch (const std::exception& e) {
       std::cerr << "measurement_pipeline: --timeline: " << e.what() << "\n";
@@ -636,7 +672,7 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty()) {
     auto pipeline = analysis::PipelineReport::capture(robustness, report);
     pipeline.timeline = timeline;
-    pipeline.timeline_tick_seconds = timeline_tick_effective;
+    pipeline.timeline_tick_seconds = config.timeline.tick_seconds;
     pipeline.salvage = salvage_report;
     pipeline.salvage_trace_end = stats.last_time;
     std::ofstream json_out(metrics_path);

@@ -506,7 +506,6 @@ class StreamingPass {
                 const StreamingOptions& options)
       : geodb_(geodb),
         options_(options),
-        shard_dirs_(shard_dirs),
         cursors_(shard_dirs.size()),
         pipeline_(shard_dirs,
                   options.salvage ? trace::SpoolReadMode::kSalvage
@@ -861,51 +860,6 @@ class StreamingPass {
     stats_out_.events = events_;
     result.streaming = stats_out_;
 
-    // Query-lifecycle sidecars (DESIGN.md §12): the durable producer
-    // wrote one "qtrace.bin" per shard when tracing was on.  Reading
-    // them back and merging in the same (time, shard) order reproduces
-    // the materialized path's merged stream — and therefore the exact
-    // same published aggregates.  Publish only when at least one sidecar
-    // exists, mirroring the materialized rule (publish iff rate > 0), so
-    // both paths expose the identical metric surface.
-    {
-      std::vector<std::vector<obs::QueryHopEvent>> per_shard(
-          shard_dirs_.size());
-      bool any_sidecar = false;
-      for (std::size_t k = 0; k < shard_dirs_.size(); ++k) {
-        if (obs::load_qtrace(obs::qtrace_sidecar_path(shard_dirs_[k]),
-                             per_shard[k])) {
-          any_sidecar = true;
-        }
-      }
-      if (any_sidecar) {
-        result.qtrace = obs::merge_qtrace(std::move(per_shard));
-        obs::publish_qtrace_metrics(result.qtrace);
-      }
-    }
-
-    // Timeline sidecars (DESIGN.md §13): identical replay contract for
-    // "timeline.bin" — merge in (time, shard) order, publish iff at
-    // least one sidecar exists, so the streaming run's timeline and its
-    // published aggregates are byte-identical to the materialized path.
-    {
-      std::vector<std::vector<obs::TimelinePoint>> per_shard(
-          shard_dirs_.size());
-      bool any_sidecar = false;
-      double tick_seconds = 0.0;
-      for (std::size_t k = 0; k < shard_dirs_.size(); ++k) {
-        if (obs::load_timeline(obs::timeline_sidecar_path(shard_dirs_[k]),
-                               per_shard[k], &tick_seconds)) {
-          any_sidecar = true;
-        }
-      }
-      if (any_sidecar) {
-        result.timeline = obs::merge_timeline(std::move(per_shard));
-        result.timeline_tick_seconds = tick_seconds;
-        obs::publish_timeline_metrics(result.timeline);
-      }
-    }
-
     // Merge the per-shard gap reports in shard order (deterministic at
     // any thread count) and publish — publish_salvage_metrics is a no-op
     // on a clean run, keeping the metric surface identical to strict.
@@ -944,7 +898,6 @@ class StreamingPass {
   // Inputs.
   const geo::GeoIpDatabase& geodb_;
   const StreamingOptions& options_;
-  std::vector<std::string> shard_dirs_;  ///< for the qtrace sidecars
   std::vector<ShardCursor> cursors_;
   ChunkPipeline pipeline_;
 

@@ -29,6 +29,11 @@
 // whose outputs are pure per-chunk values the consumer takes in a fixed
 // order — results are therefore identical at any thread count, which the
 // streaming determinism suite pins against the materialized oracle.
+//
+// The pass reads the spools and nothing else.  A checkpoint's sampled
+// query hops and sim-time ticks are not trace events: the producer,
+// behavior::simulate_to_spools, keeps them in its shard sidecars and
+// returns and publishes the merged streams itself.
 #pragma once
 
 #include <array>
@@ -42,8 +47,6 @@
 #include "analysis/popularity_analysis.hpp"
 #include "core/model.hpp"
 #include "geo/geoip.hpp"
-#include "obs/qtrace.hpp"
-#include "obs/timeline.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
 
@@ -135,13 +138,6 @@ struct StreamingResult {
 
   StreamingStats streaming;
 
-  /// Merged query-lifecycle hop events, read back from the per-shard
-  /// "qtrace.bin" sidecars the durable runner writes (empty when no
-  /// sidecar exists — tracing was off).  Merged in the same (time,
-  /// shard) order as simulate_trace_sharded, so the published qtrace
-  /// aggregates are identical to an in-memory run's.
-  std::vector<obs::QueryHopEvent> qtrace;
-
   /// Loss accounting of a salvage-mode pass: the gap windows the spool
   /// reader quarantined (ranges tagged by shard, merged in shard order)
   /// plus the sessions/queries censored from the analysis because they
@@ -149,14 +145,6 @@ struct StreamingResult {
   /// were clean.  Matches the materialized report (read_spool_salvage per
   /// shard + censor_dataset counters) for identical damage.
   trace::SalvageReport salvage;
-
-  /// Merged sim-time timeline ticks, read back from the per-shard
-  /// "timeline.bin" sidecars under the same contract (empty when no
-  /// sidecar exists — timelines were off).  Byte-identical to the
-  /// materialized path's merged timeline at any thread count.
-  std::vector<obs::TimelinePoint> timeline;
-  /// Tick width of the loaded timeline sidecars (0 when none existed).
-  double timeline_tick_seconds = 0.0;
 };
 
 /// Runs the one-pass analysis over per-shard spool directories (order

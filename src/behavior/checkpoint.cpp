@@ -21,17 +21,12 @@
 #include "core/model_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process.hpp"
-#include "obs/qtrace.hpp"
+#include "obs/sidecar.hpp"
 #include "obs/span.hpp"
-#include "obs/timeline.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace_io.hpp"
+#include "util/fsync.hpp"
 #include "util/thread_pool.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace p2pgen::behavior {
 namespace {
@@ -58,22 +53,10 @@ std::string shard_dir(const std::string& base, unsigned shard_index) {
   return (fs::path(base) / buf).string();
 }
 
-void fsync_path(const std::string& path, bool directory) {
-#if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(path.c_str(), directory ? O_RDONLY : O_WRONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)path;
-  (void)directory;
-#endif
-}
-
 /// Durable-manifest state: the run identity plus which shards finished.
-/// Rewritten atomically (tmp + rename) after every shard completion, so
-/// a crash leaves either the old or the new manifest, never a torn one.
+/// Rewritten durably (util::write_file_durably) after every shard
+/// completion, so a crash leaves either the old or the new manifest,
+/// never a torn one.
 struct Manifest {
   std::uint64_t identity = 0;
   unsigned n_shards = 0;
@@ -104,16 +87,8 @@ struct Manifest {
         out << "stopped_detail " << detail << "\n";
       }
     }
-    const std::string tmp = (fs::path(dir) / "MANIFEST.tmp").string();
-    const std::string final_path = (fs::path(dir) / kManifestName).string();
-    {
-      std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-      f << out.str();
-      if (!f) throw std::runtime_error("checkpoint: cannot write " + tmp);
-    }
-    fsync_path(tmp, /*directory=*/false);
-    fs::rename(tmp, final_path);
-    fsync_path(dir, /*directory=*/true);
+    util::write_file_durably((fs::path(dir) / kManifestName).string(),
+                             out.str());
   }
 
   /// Throws std::runtime_error on anything but a well-formed manifest:
@@ -485,6 +460,40 @@ void publish_recovery_metrics(const RecoverySummary& summary) {
   registry.counter("recovery.spools_reset").add(summary.spools_reset);
 }
 
+/// A done shard's sidecar if this run may use it: it exists, passes its
+/// checks and was made at this run's setting of every stream `base` turns
+/// on.  nullopt means the shard is replayed to rebuild it.
+std::optional<obs::Sidecar> current_sidecar(const std::string& path,
+                                            const TraceSimulationConfig& base) {
+  std::optional<obs::Sidecar> sidecar;
+  try {
+    sidecar = obs::load_sidecar(path);
+  } catch (const std::exception&) {
+    return std::nullopt;  // damaged: rebuilt like a missing one
+  }
+  if (sidecar && ((base.qtrace.sample_rate > 0.0 &&
+                   sidecar->qtrace_rate != base.qtrace.sample_rate) ||
+                  (base.timeline.tick_seconds > 0.0 &&
+                   sidecar->timeline_tick != base.timeline.tick_seconds))) {
+    return std::nullopt;
+  }
+  return sidecar;
+}
+
+/// Writes shard `stats`' qtrace and timeline as its sidecar, recorded at
+/// the settings of `base`; the streams stay in `stats`.
+void save_shard_sidecar(const std::string& path,
+                        const TraceSimulationConfig& base, ShardStats& stats) {
+  obs::Sidecar sidecar;
+  sidecar.qtrace_rate = std::max(base.qtrace.sample_rate, 0.0);
+  sidecar.timeline_tick = std::max(base.timeline.tick_seconds, 0.0);
+  sidecar.qtrace = std::move(stats.qtrace);
+  sidecar.timeline = std::move(stats.timeline);
+  obs::save_sidecar(path, sidecar);
+  stats.qtrace = std::move(sidecar.qtrace);
+  stats.timeline = std::move(sidecar.timeline);
+}
+
 /// Records that shard `k` of a heartbeat-watched run is complete.
 void mark_shard_done(HeartbeatWriter* heartbeat, std::size_t k,
                      double horizon, std::uint64_t events) {
@@ -543,7 +552,9 @@ void write_checkpoint_stop_reason(const std::string& dir,
 std::vector<std::string> simulate_to_spools(
     const core::WorkloadModel& model, const TraceSimulationConfig& base,
     unsigned n_shards, unsigned n_threads, const DurabilityConfig& durability,
-    RecoverySummary* summary_out, std::vector<ShardStats>* stats) {
+    RecoverySummary* summary_out, std::vector<ShardStats>* stats,
+    std::vector<obs::QueryHopEvent>* qtrace,
+    std::vector<obs::TimelinePoint>* timeline) {
   if (n_shards == 0) {
     throw std::invalid_argument("simulate_to_spools: n_shards must be > 0");
   }
@@ -591,8 +602,8 @@ std::vector<std::string> simulate_to_spools(
   }
 
   std::vector<ShardStats> shard_stats(n_shards);
-  const bool qtrace_on = base.qtrace.sample_rate > 0.0;
-  const bool timeline_on = base.timeline.tick_seconds > 0.0;
+  const bool streams_on =
+      base.qtrace.sample_rate > 0.0 || base.timeline.tick_seconds > 0.0;
   const double horizon =
       (base.warmup_days + base.duration_days) * sim::kSecondsPerDay;
   std::mutex manifest_mutex;  // guards manifest + summary
@@ -609,41 +620,40 @@ std::vector<std::string> simulate_to_spools(
   pool.run_indexed(n_shards, [&](std::size_t k) {
     const unsigned index = static_cast<unsigned>(k);
     const std::string spool_dir = shard_dir(durability.dir, index);
+    const std::string sidecar_path =
+        (fs::path(spool_dir) / kShardSidecarName).string();
+    // A done shard is not simulated: the analysis validates its spool
+    // against the MANIFEST count.
+    const auto load_done_shard = [&] {
+      shard_stats[k].seed = shard_seed(base.seed, index);
+      shard_stats[k].events = *manifest.records[k];
+      mark_shard_done(heartbeat.get(), k, horizon, shard_stats[k].events);
+      std::lock_guard<std::mutex> lock(manifest_mutex);
+      ++summary.checkpoints_loaded;
+      ++summary.shards_completed_prior;
+    };
 
-    // Done shards are left as they are: the analysis validates their
-    // spools against the MANIFEST count in its own single pass.  Only a
-    // damaged sidecar drops through to the simulate path below, which
-    // deterministically rebuilds it by replaying the shard (both sidecars
-    // are pure functions of (model, config, shard seed)).  A done shard
-    // whose MANIFEST predates record counts is replayed the same way, so
-    // that it gains one.
-    bool rebuilding_sidecars = false;
+    // With a stream on, a done shard's hops and ticks come from its
+    // sidecar; a missing, damaged or stale one drops through to the
+    // simulate path below, which rebuilds it exactly by replaying the
+    // shard (the streams are pure functions of (model, config, shard
+    // seed)).  A done shard whose MANIFEST predates record counts is
+    // replayed the same way, so that it gains one.
+    bool rebuilding_sidecar = false;
     if (manifest.done[k] && manifest.records[k]) {
-      // Probe the sidecars (a cheap CRC pass).  A checkpoint written
-      // before tracing (or at rate 0) simply has no sidecar; the shard
-      // contributes no hop events or ticks, exactly as the streaming
-      // replay will also conclude.
-      try {
-        std::vector<obs::QueryHopEvent> qtrace;
-        if (qtrace_on) {
-          obs::load_qtrace(obs::qtrace_sidecar_path(spool_dir), qtrace);
+      std::optional<obs::Sidecar> sidecar;
+      if (streams_on) sidecar = current_sidecar(sidecar_path, base);
+      if (!streams_on || sidecar) {
+        if (base.qtrace.sample_rate > 0.0) {
+          shard_stats[k].qtrace = std::move(sidecar->qtrace);
         }
-        std::vector<obs::TimelinePoint> timeline;
-        if (timeline_on) {
-          obs::load_timeline(obs::timeline_sidecar_path(spool_dir), timeline);
+        if (base.timeline.tick_seconds > 0.0) {
+          shard_stats[k].timeline = std::move(sidecar->timeline);
         }
-      } catch (const std::exception&) {
-        rebuilding_sidecars = true;
-      }
-      if (!rebuilding_sidecars) {
-        shard_stats[k].seed = shard_seed(base.seed, index);
-        shard_stats[k].events = *manifest.records[k];
-        mark_shard_done(heartbeat.get(), k, horizon, shard_stats[k].events);
-        std::lock_guard<std::mutex> lock(manifest_mutex);
-        ++summary.checkpoints_loaded;
-        ++summary.shards_completed_prior;
+        load_done_shard();
         return;
       }
+      rebuilding_sidecar = true;
       std::lock_guard<std::mutex> lock(manifest_mutex);
       ++summary.sidecars_rebuilt;
     } else if (durability.salvage) {
@@ -666,25 +676,14 @@ std::vector<std::string> simulate_to_spools(
       std::unique_ptr<trace::SpoolWriter> writer;
       try {
         writer = std::make_unique<trace::SpoolWriter>(spool_dir, spool_config);
-      } catch (const trace::TraceIoError& e) {
-        if (!(rebuilding_sidecars && durability.salvage)) throw;
-        // Done shard, damaged sidecars AND a damaged spool: the replay
+      } catch (const trace::TraceIoError&) {
+        if (!(rebuilding_sidecar && durability.salvage)) throw;
+        // Done shard, unusable sidecar AND a damaged spool: the replay
         // rebuild is impossible (it digest-verifies against the spool).
-        // The best recoverable state is empty sidecars — the spool's loss
-        // is accounted by the salvage-mode analysis.
-        if (qtrace_on) {
-          obs::save_qtrace(obs::qtrace_sidecar_path(spool_dir), {});
-        }
-        if (timeline_on) {
-          obs::save_timeline(obs::timeline_sidecar_path(spool_dir), {},
-                             base.timeline.tick_seconds);
-        }
-        shard_stats[k].seed = shard_seed(base.seed, index);
-        shard_stats[k].events = *manifest.records[k];
-        mark_shard_done(heartbeat.get(), k, horizon, shard_stats[k].events);
-        std::lock_guard<std::mutex> lock(manifest_mutex);
-        ++summary.checkpoints_loaded;
-        ++summary.shards_completed_prior;
+        // The shard contributes no hops or ticks — the spool's loss is
+        // accounted by the salvage-mode analysis — and its sidecar is
+        // left for a later resume to try again.
+        load_done_shard();
         return;
       }
       {
@@ -701,21 +700,10 @@ std::vector<std::string> simulate_to_spools(
                        &stop.requested);
       simulate_shard(model, base, index, sink, &shard_stats[k]);
       writer->close();  // final fsync: the shard's redo log is complete
-      // The sidecars are durable before the manifest marks the shard
-      // done, so a done shard always has its (possibly empty) qtrace and
-      // timeline next to its spool.  The in-memory copies go right away:
-      // the analysis reads them back from disk.
-      if (qtrace_on) {
-        obs::save_qtrace(obs::qtrace_sidecar_path(spool_dir),
-                         shard_stats[k].qtrace);
-      }
-      if (timeline_on) {
-        obs::save_timeline(obs::timeline_sidecar_path(spool_dir),
-                           shard_stats[k].timeline,
-                           base.timeline.tick_seconds);
-      }
-      shard_stats[k].qtrace = {};
-      shard_stats[k].timeline = {};
+      // The sidecar is durable before the MANIFEST marks the shard done,
+      // so a done shard of a run with a stream on has one next to its
+      // spool.  The streams stay in memory for the merge below.
+      if (streams_on) save_shard_sidecar(sidecar_path, base, shard_stats[k]);
       mark_shard_done(heartbeat.get(), k, horizon, shard_stats[k].events);
 
       std::lock_guard<std::mutex> lock(manifest_mutex);
@@ -768,6 +756,7 @@ std::vector<std::string> simulate_to_spools(
         "checkpoint: run stopped cleanly (" + reason + "): " + detail, reason);
   }
 
+  merge_and_publish_streams(base, shard_stats, qtrace, timeline);
   publish_recovery_metrics(summary);
   if (summary_out != nullptr) *summary_out = summary;
   if (stats != nullptr) *stats = std::move(shard_stats);

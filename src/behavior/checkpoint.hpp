@@ -21,6 +21,11 @@
 // frame) is truncated by the recovery scan; at most that one record is
 // re-written by replay, never lost.
 //
+// The spools hold the trace, not the observational streams: a finished
+// shard's sampled query hops and timeline ticks live in its sidecar,
+// which only this module reads and writes.  The producer returns the
+// merged streams itself, so the analysis never sees a sidecar.
+//
 // simulate_to_spools() is the one producer; analysis::analyze_spools()
 // is the one analysis of a checkpoint, and load_checkpoint() the small
 // strict reader that materializes one for oracles and caches.
@@ -33,6 +38,9 @@
 #include "trace/spool.hpp"
 
 namespace p2pgen::behavior {
+
+/// File name of a shard's sidecar in its spool directory.
+inline constexpr const char* kShardSidecarName = "sidecar.bin";
 
 /// Where and how often the durable run persists state.
 struct DurabilityConfig {
@@ -89,7 +97,9 @@ struct RecoverySummary {
   std::uint64_t checkpoints_written = 0; ///< durable sync points persisted
   std::uint64_t checkpoints_loaded = 0;  ///< shards with recovered state
   std::uint64_t shards_completed_prior = 0;  ///< finished before this run
-  std::uint64_t sidecars_rebuilt = 0;    ///< damaged sidecars regenerated
+  /// Done shards replayed because their sidecar was missing, damaged or
+  /// made at another qtrace rate or timeline tick.
+  std::uint64_t sidecars_rebuilt = 0;
   std::uint64_t spools_reset = 0;  ///< damaged unfinished spools truncated
 };
 
@@ -155,19 +165,23 @@ bool checkpoint_exists(const std::string& dir);
 /// checkpoint exists, or when the existing checkpoint's identity does not
 /// match (model/config/shards), and CheckpointStopped on a clean stop.
 ///
-/// Query-lifecycle tracing (base.qtrace.sample_rate > 0): each shard's
-/// hop events are written to an atomic "qtrace.bin" sidecar next to its
-/// spool before the MANIFEST marks the shard done; the analysis merges
-/// the sidecars back in (time, shard) order.  A done shard without a
-/// sidecar (written before tracing, or at rate 0) contributes no events;
-/// keep the sampling flags consistent across resume for meaningful
-/// aggregates.  Sim-time timelines (base.timeline.tick_seconds > 0)
-/// follow the exact same protocol with "timeline.bin".
+/// The merged qtrace and timeline are published and returned through
+/// `qtrace` / `timeline` exactly as simulate_trace_sharded does, for any
+/// resume history.  With a stream on (base.qtrace.sample_rate > 0 or
+/// base.timeline.tick_seconds > 0), each shard's hops and ticks are
+/// written to its sidecar (kShardSidecarName, obs/sidecar.hpp) before the
+/// MANIFEST marks it done.  A done shard's sidecar is used only if it
+/// exists, passes its CRC and was made at this run's setting of every
+/// stream that is on; otherwise the shard is replayed and the sidecar
+/// rebuilt (RecoverySummary::sidecars_rebuilt).  A stream that is off is
+/// neither read nor published.
 std::vector<std::string> simulate_to_spools(
     const core::WorkloadModel& model, const TraceSimulationConfig& base,
     unsigned n_shards, unsigned n_threads, const DurabilityConfig& durability,
     RecoverySummary* summary = nullptr,
-    std::vector<ShardStats>* stats = nullptr);
+    std::vector<ShardStats>* stats = nullptr,
+    std::vector<obs::QueryHopEvent>* qtrace = nullptr,
+    std::vector<obs::TimelinePoint>* timeline = nullptr);
 
 /// Reads a complete checkpoint back as one merged trace — the same trace
 /// simulate_trace_sharded returns for its run.  Simulates nothing.  Each

@@ -107,6 +107,28 @@ ShardStats sum_shard_stats(const std::vector<ShardStats>& shards) {
   return sum;
 }
 
+void merge_and_publish_streams(const TraceSimulationConfig& base,
+                               std::vector<ShardStats>& stats,
+                               std::vector<obs::QueryHopEvent>* qtrace,
+                               std::vector<obs::TimelinePoint>* timeline) {
+  if (base.qtrace.sample_rate > 0.0) {
+    std::vector<std::vector<obs::QueryHopEvent>> per_shard;
+    for (ShardStats& s : stats) per_shard.push_back(std::move(s.qtrace));
+    std::vector<obs::QueryHopEvent> merged =
+        obs::merge_qtrace(std::move(per_shard));
+    obs::publish_qtrace_metrics(merged);
+    if (qtrace != nullptr) *qtrace = std::move(merged);
+  }
+  if (base.timeline.tick_seconds > 0.0) {
+    std::vector<std::vector<obs::TimelinePoint>> per_shard;
+    for (ShardStats& s : stats) per_shard.push_back(std::move(s.timeline));
+    std::vector<obs::TimelinePoint> merged =
+        obs::merge_timeline(std::move(per_shard));
+    obs::publish_timeline_metrics(merged);
+    if (timeline != nullptr) *timeline = std::move(merged);
+  }
+}
+
 trace::Trace simulate_trace_sharded(const core::WorkloadModel& model,
                                     const TraceSimulationConfig& base,
                                     unsigned n_shards, unsigned n_threads,
@@ -130,28 +152,7 @@ trace::Trace simulate_trace_sharded(const core::WorkloadModel& model,
   util::publish_pool_stats("pool.sim", pool.stats());
   obs::Registry::global().counter("sim.shards_run").add(n_shards);
 
-  if (base.qtrace.sample_rate > 0.0) {
-    std::vector<std::vector<obs::QueryHopEvent>> per_shard(n_shards);
-    for (unsigned k = 0; k < n_shards; ++k) {
-      per_shard[k] = std::move(shard_stats[k].qtrace);
-    }
-    std::vector<obs::QueryHopEvent> merged_qtrace =
-        obs::merge_qtrace(std::move(per_shard));
-    obs::publish_qtrace_metrics(merged_qtrace);
-    if (qtrace != nullptr) *qtrace = std::move(merged_qtrace);
-  }
-
-  if (base.timeline.tick_seconds > 0.0) {
-    std::vector<std::vector<obs::TimelinePoint>> per_shard(n_shards);
-    for (unsigned k = 0; k < n_shards; ++k) {
-      per_shard[k] = std::move(shard_stats[k].timeline);
-    }
-    std::vector<obs::TimelinePoint> merged_timeline =
-        obs::merge_timeline(std::move(per_shard));
-    obs::publish_timeline_metrics(merged_timeline);
-    if (timeline != nullptr) *timeline = std::move(merged_timeline);
-  }
-
+  merge_and_publish_streams(base, shard_stats, qtrace, timeline);
   if (stats != nullptr) *stats = std::move(shard_stats);
   trace::Trace merged;
   {

@@ -92,19 +92,25 @@ void simulate_shard(const core::WorkloadModel& model,
 /// over the shards; seed, qtrace and timeline are left empty.
 ShardStats sum_shard_stats(const std::vector<ShardStats>& shards);
 
+/// Merges the shards' qtrace and timeline buffers in (time, shard) order
+/// (obs::merge_qtrace, obs::merge_timeline), moving them out of `stats`,
+/// and publishes each merged stream's aggregates once — each stream only
+/// when `base` turns it on, so an off stream is neither merged nor
+/// published.  Pass `qtrace` / `timeline` to receive the merged streams.
+/// The one merge of both producers, simulate_trace_sharded and
+/// simulate_to_spools, so their streams and metrics are the same.
+void merge_and_publish_streams(const TraceSimulationConfig& base,
+                               std::vector<ShardStats>& stats,
+                               std::vector<obs::QueryHopEvent>* qtrace,
+                               std::vector<obs::TimelinePoint>* timeline);
+
 /// Runs `n_shards` replica shards on up to `n_threads` threads and merges
 /// their traces (see file comment for the determinism contract).  Each
 /// shard simulates the full base.duration_days window.  When `stats` is
-/// non-null it receives one entry per shard, in shard order.
-///
-/// When base.qtrace.sample_rate > 0 the per-shard qtrace buffers are
-/// merged (obs::merge_qtrace) and their aggregates published to the
-/// global registry; pass `qtrace` to also receive the merged stream.
-/// Likewise, when base.timeline.tick_seconds > 0 the per-shard timeline
-/// buffers are merged (obs::merge_timeline) and published; pass
-/// `timeline` to receive that merged stream.  The per-shard buffers are
-/// consumed by the merges — ShardStats.qtrace / .timeline come back
-/// empty from this entry point.
+/// non-null it receives one entry per shard, in shard order.  The shards'
+/// qtrace and timeline buffers go through merge_and_publish_streams, so
+/// ShardStats.qtrace / .timeline come back empty; pass `qtrace` /
+/// `timeline` to receive the merged streams.
 trace::Trace simulate_trace_sharded(
     const core::WorkloadModel& model, const TraceSimulationConfig& base,
     unsigned n_shards, unsigned n_threads,

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "util/crc32.hpp"
 #include "util/fnv1a.hpp"
+#include "util/little_endian.hpp"
 
 namespace p2pgen::obs {
 
@@ -42,77 +42,25 @@ std::uint64_t sample_threshold(double rate) noexcept {
   return static_cast<std::uint64_t>(scaled);
 }
 
-std::uint64_t double_bits(double value) noexcept {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
+}  // namespace
 
-double bits_double(std::uint64_t bits) noexcept {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-/// Sidecar wire format (all little-endian):
-///   "p2pq" | u32 version | u64 count | count * 32-byte records
-/// Record: u64 time_bits | u64 query | u64 value_bits | u32 shard |
-///         u8 hop | u8 ttl | u8 hops | u8 pad(0)
-constexpr char kQtraceMagic[4] = {'p', '2', 'p', 'q'};
-// v2 appends a CRC32 trailer over the record bytes so a resume can tell
-// a damaged sidecar from a valid one (and rebuild it, DESIGN.md §14).
-constexpr std::uint32_t kQtraceFormatVersion = 2;
-constexpr std::size_t kQtraceRecordBytes = 32;
-
-void put_u32(unsigned char* out, std::uint32_t v) noexcept {
-  out[0] = static_cast<unsigned char>(v & 0xffU);
-  out[1] = static_cast<unsigned char>((v >> 8) & 0xffU);
-  out[2] = static_cast<unsigned char>((v >> 16) & 0xffU);
-  out[3] = static_cast<unsigned char>((v >> 24) & 0xffU);
-}
-
-void put_u64(unsigned char* out, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xffU);
-  }
-}
-
-std::uint32_t get_u32(const unsigned char* in) noexcept {
-  return static_cast<std::uint32_t>(in[0]) |
-         (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) |
-         (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
-std::uint64_t get_u64(const unsigned char* in) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  }
-  return v;
-}
-
-/// Record layout: time_bits u64 | query u64 | value is folded into the
-/// digest/serialization as u64 bits, shard u32, then hop/ttl/hops/pad.
-/// Exactly kQtraceRecordBytes.
-void encode_record(unsigned char* out, const QueryHopEvent& e) noexcept {
-  put_u64(out + 0, double_bits(e.time));
-  put_u64(out + 8, e.query);
-  put_u64(out + 16, double_bits(e.value));
-  put_u32(out + 24, e.shard);
+void encode_query_hop(unsigned char* out, const QueryHopEvent& e) noexcept {
+  util::store_le64(out + 0, std::bit_cast<std::uint64_t>(e.time));
+  util::store_le64(out + 8, e.query);
+  util::store_le64(out + 16, std::bit_cast<std::uint64_t>(e.value));
+  util::store_le32(out + 24, e.shard);
   out[28] = static_cast<unsigned char>(e.hop);
   out[29] = e.ttl;
   out[30] = e.hops;
   out[31] = 0;
 }
 
-QueryHopEvent decode_record(const unsigned char* in) {
+QueryHopEvent decode_query_hop(const unsigned char* in) {
   QueryHopEvent e;
-  e.time = bits_double(get_u64(in + 0));
-  e.query = get_u64(in + 8);
-  e.value = bits_double(get_u64(in + 16));
-  e.shard = get_u32(in + 24);
+  e.time = std::bit_cast<double>(util::load_le64(in + 0));
+  e.query = util::load_le64(in + 8);
+  e.value = std::bit_cast<double>(util::load_le64(in + 16));
+  e.shard = util::load_le32(in + 24);
   if (in[28] >= kQueryHopCount) {
     throw std::runtime_error("qtrace: unknown hop kind " +
                              std::to_string(int{in[28]}));
@@ -122,27 +70,6 @@ QueryHopEvent decode_record(const unsigned char* in) {
   e.hops = in[30];
   return e;
 }
-
-class ScopedFile {
- public:
-  explicit ScopedFile(std::FILE* file) : file_(file) {}
-  ~ScopedFile() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-  ScopedFile(const ScopedFile&) = delete;
-  ScopedFile& operator=(const ScopedFile&) = delete;
-  std::FILE* get() const noexcept { return file_; }
-  int close() {
-    const int rc = std::fclose(file_);
-    file_ = nullptr;
-    return rc;
-  }
-
- private:
-  std::FILE* file_;
-};
-
-}  // namespace
 
 const char* query_hop_name(QueryHop hop) noexcept {
   switch (hop) {
@@ -164,9 +91,12 @@ const char* query_hop_name(QueryHop hop) noexcept {
 }
 
 bool operator==(const QueryHopEvent& a, const QueryHopEvent& b) noexcept {
-  return double_bits(a.time) == double_bits(b.time) && a.query == b.query &&
-         a.shard == b.shard && a.hop == b.hop && a.ttl == b.ttl &&
-         a.hops == b.hops && double_bits(a.value) == double_bits(b.value);
+  return std::bit_cast<std::uint64_t>(a.time) ==
+             std::bit_cast<std::uint64_t>(b.time) &&
+         a.query == b.query && a.shard == b.shard && a.hop == b.hop &&
+         a.ttl == b.ttl && a.hops == b.hops &&
+         std::bit_cast<std::uint64_t>(a.value) ==
+             std::bit_cast<std::uint64_t>(b.value);
 }
 
 bool qtrace_sampled(std::uint64_t query, double sample_rate) noexcept {
@@ -245,9 +175,9 @@ std::vector<QueryHopEvent> merge_qtrace(
 std::uint64_t qtrace_digest(
     const std::vector<QueryHopEvent>& events) noexcept {
   std::uint64_t hash = util::kFnvOffsetBasis;
-  unsigned char record[kQtraceRecordBytes];
+  unsigned char record[kQueryHopRecordBytes];
   for (const QueryHopEvent& event : events) {
-    encode_record(record, event);
+    encode_query_hop(record, event);
     hash = util::fnv1a_update(hash, record, sizeof(record));
   }
   return hash;
@@ -329,94 +259,6 @@ void publish_qtrace_metrics(const std::vector<QueryHopEvent>& merged) {
     (void)key;
     if (agg.received) fanout.observe(static_cast<double>(agg.forwards));
   }
-}
-
-std::string qtrace_sidecar_path(const std::string& shard_dir) {
-  return shard_dir + "/qtrace.bin";
-}
-
-void save_qtrace(const std::string& path,
-                 const std::vector<QueryHopEvent>& events) {
-  const std::string tmp = path + ".tmp";
-  {
-    ScopedFile file(std::fopen(tmp.c_str(), "wb"));
-    if (file.get() == nullptr) {
-      throw std::runtime_error("qtrace: cannot open " + tmp);
-    }
-    unsigned char header[16];
-    std::memcpy(header, kQtraceMagic, 4);
-    put_u32(header + 4, kQtraceFormatVersion);
-    put_u64(header + 8, static_cast<std::uint64_t>(events.size()));
-    if (std::fwrite(header, 1, sizeof(header), file.get()) !=
-        sizeof(header)) {
-      throw std::runtime_error("qtrace: short write to " + tmp);
-    }
-    unsigned char record[kQtraceRecordBytes];
-    std::uint32_t crc = util::crc32_init();
-    for (const QueryHopEvent& event : events) {
-      encode_record(record, event);
-      crc = util::crc32_update(crc, record, sizeof(record));
-      if (std::fwrite(record, 1, sizeof(record), file.get()) !=
-          sizeof(record)) {
-        throw std::runtime_error("qtrace: short write to " + tmp);
-      }
-    }
-    unsigned char trailer[4];
-    put_u32(trailer, util::crc32_final(crc));
-    if (std::fwrite(trailer, 1, sizeof(trailer), file.get()) !=
-        sizeof(trailer)) {
-      throw std::runtime_error("qtrace: short write to " + tmp);
-    }
-    if (std::fflush(file.get()) != 0 || file.close() != 0) {
-      throw std::runtime_error("qtrace: flush failed for " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("qtrace: rename failed for " + path);
-  }
-}
-
-bool load_qtrace(const std::string& path, std::vector<QueryHopEvent>& out) {
-  out.clear();
-  ScopedFile file(std::fopen(path.c_str(), "rb"));
-  if (file.get() == nullptr) return false;
-
-  unsigned char header[16];
-  if (std::fread(header, 1, sizeof(header), file.get()) != sizeof(header)) {
-    throw std::runtime_error("qtrace: truncated header in " + path);
-  }
-  if (std::memcmp(header, kQtraceMagic, 4) != 0) {
-    throw std::runtime_error("qtrace: bad magic in " + path);
-  }
-  const std::uint32_t version = get_u32(header + 4);
-  if (version != kQtraceFormatVersion) {
-    throw std::runtime_error("qtrace: unsupported version " +
-                             std::to_string(version) + " in " + path);
-  }
-  const std::uint64_t count = get_u64(header + 8);
-  out.reserve(static_cast<std::size_t>(count));
-  unsigned char record[kQtraceRecordBytes];
-  std::uint32_t crc = util::crc32_init();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (std::fread(record, 1, sizeof(record), file.get()) !=
-        sizeof(record)) {
-      throw std::runtime_error("qtrace: truncated record in " + path);
-    }
-    crc = util::crc32_update(crc, record, sizeof(record));
-    out.push_back(decode_record(record));
-  }
-  unsigned char trailer[4];
-  if (std::fread(trailer, 1, sizeof(trailer), file.get()) !=
-      sizeof(trailer)) {
-    throw std::runtime_error("qtrace: truncated checksum in " + path);
-  }
-  if (get_u32(trailer) != util::crc32_final(crc)) {
-    throw std::runtime_error("qtrace: checksum mismatch in " + path);
-  }
-  if (std::fread(record, 1, 1, file.get()) == 1) {
-    throw std::runtime_error("qtrace: trailing bytes in " + path);
-  }
-  return true;
 }
 
 void write_qtrace_json(std::ostream& out,

@@ -56,8 +56,8 @@ struct QtraceConfig {
 };
 
 /// One step of a sampled query's journey.  Values are wire-stable: they
-/// are written to the qtrace sidecar files, so renumbering is a format
-/// break (bump kQtraceFormatVersion).
+/// are written to the shard sidecar, so renumbering is a format break
+/// (bump the sidecar version).
 enum class QueryHop : std::uint8_t {
   kQueryEmitted = 0,    ///< a peer put the QUERY on the wire
   kQueryReceived = 1,   ///< the measurement node decoded + recorded it
@@ -92,6 +92,17 @@ struct QueryHopEvent {
 };
 
 bool operator==(const QueryHopEvent& a, const QueryHopEvent& b) noexcept;
+
+/// Bytes of one encoded hop: the unit qtrace_digest hashes and the shard
+/// sidecar (obs/sidecar.hpp) stores.  Little-endian u64 time bits | u64
+/// query | u64 value bits | u32 shard | u8 hop | u8 ttl | u8 hops | u8 0.
+inline constexpr std::size_t kQueryHopRecordBytes = 32;
+
+void encode_query_hop(unsigned char* out, const QueryHopEvent& event) noexcept;
+
+/// The inverse of encode_query_hop.  Throws std::runtime_error on a hop
+/// kind outside QueryHop.
+QueryHopEvent decode_query_hop(const unsigned char* in);
 
 /// The deterministic sampling decision by itself: true iff `query` is
 /// traced at `sample_rate`.  Pure; identical on every platform.
@@ -147,25 +158,9 @@ std::uint64_t qtrace_digest(const std::vector<QueryHopEvent>& events) noexcept;
 /// "qtrace.sampled_queries", and the hop-count / fan-out / hit-latency
 /// histograms.  Call exactly once per analysis with the MERGED stream —
 /// aggregation over the merged order is what makes the numbers identical
-/// at any thread count, and it is what lets the streaming path reproduce
-/// them exactly from the sidecar files.
+/// at any thread count, and what makes a checkpointed run publish the
+/// same numbers as an in-memory one.
 void publish_qtrace_metrics(const std::vector<QueryHopEvent>& merged);
-
-/// "<shard_dir>/qtrace.bin" — the per-shard sidecar the durable runner
-/// writes next to the trace spool and the streaming pass reads back.
-std::string qtrace_sidecar_path(const std::string& shard_dir);
-
-/// Writes the sidecar atomically (tmp + rename).  An empty event list
-/// still writes a valid zero-count file: its presence is how readers know
-/// tracing was enabled for the run.
-void save_qtrace(const std::string& path,
-                 const std::vector<QueryHopEvent>& events);
-
-/// Loads a sidecar into `out` (replacing its contents).  Returns false —
-/// leaving `out` empty — when the file does not exist (a checkpoint from
-/// before tracing, or a run with tracing off).  Throws std::runtime_error
-/// on a malformed file.
-bool load_qtrace(const std::string& path, std::vector<QueryHopEvent>& out);
 
 /// One JSON object {"qtrace":[...]} with one record per hop event — the
 /// measurement_pipeline --query-trace dump, stable field order.

@@ -1,111 +1,35 @@
 #include "obs/timeline.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <ostream>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "util/crc32.hpp"
 #include "util/fnv1a.hpp"
+#include "util/little_endian.hpp"
 
 namespace p2pgen::obs {
 
-namespace {
-
-std::uint64_t double_bits(double value) noexcept {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) noexcept {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-/// Sidecar wire format (all little-endian):
-///   "p2pt" | u32 version | u32 series_count | u32 pad(0) |
-///   u64 tick_seconds_bits | u64 count | count * records
-/// Record: u64 time_bits | u32 shard | u32 pad(0) |
-///         kTimelineSeriesCount * u64 values
-constexpr char kTimelineMagic[4] = {'p', '2', 'p', 't'};
-// v2 appends a CRC32 trailer over the record bytes so a resume can tell
-// a damaged sidecar from a valid one (and rebuild it, DESIGN.md §14).
-constexpr std::uint32_t kTimelineFormatVersion = 2;
-constexpr std::size_t kTimelineHeaderBytes = 32;
-constexpr std::size_t kTimelineRecordBytes = 16 + 8 * kTimelineSeriesCount;
-
-void put_u32(unsigned char* out, std::uint32_t v) noexcept {
-  out[0] = static_cast<unsigned char>(v & 0xffU);
-  out[1] = static_cast<unsigned char>((v >> 8) & 0xffU);
-  out[2] = static_cast<unsigned char>((v >> 16) & 0xffU);
-  out[3] = static_cast<unsigned char>((v >> 24) & 0xffU);
-}
-
-void put_u64(unsigned char* out, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xffU);
-  }
-}
-
-std::uint32_t get_u32(const unsigned char* in) noexcept {
-  return static_cast<std::uint32_t>(in[0]) |
-         (static_cast<std::uint32_t>(in[1]) << 8) |
-         (static_cast<std::uint32_t>(in[2]) << 16) |
-         (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
-std::uint64_t get_u64(const unsigned char* in) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-  }
-  return v;
-}
-
-void encode_record(unsigned char* out, const TimelinePoint& p) noexcept {
-  put_u64(out + 0, double_bits(p.time));
-  put_u32(out + 8, p.shard);
-  put_u32(out + 12, 0);
+void encode_timeline_point(unsigned char* out,
+                           const TimelinePoint& p) noexcept {
+  util::store_le64(out + 0, std::bit_cast<std::uint64_t>(p.time));
+  util::store_le32(out + 8, p.shard);
+  util::store_le32(out + 12, 0);
   for (std::size_t s = 0; s < kTimelineSeriesCount; ++s) {
-    put_u64(out + 16 + 8 * s, p.values[s]);
+    util::store_le64(out + 16 + 8 * s, p.values[s]);
   }
 }
 
-TimelinePoint decode_record(const unsigned char* in) noexcept {
+TimelinePoint decode_timeline_point(const unsigned char* in) noexcept {
   TimelinePoint p;
-  p.time = bits_double(get_u64(in + 0));
-  p.shard = get_u32(in + 8);
+  p.time = std::bit_cast<double>(util::load_le64(in + 0));
+  p.shard = util::load_le32(in + 8);
   for (std::size_t s = 0; s < kTimelineSeriesCount; ++s) {
-    p.values[s] = get_u64(in + 16 + 8 * s);
+    p.values[s] = util::load_le64(in + 16 + 8 * s);
   }
   return p;
 }
-
-class ScopedFile {
- public:
-  explicit ScopedFile(std::FILE* file) : file_(file) {}
-  ~ScopedFile() {
-    if (file_ != nullptr) std::fclose(file_);
-  }
-  ScopedFile(const ScopedFile&) = delete;
-  ScopedFile& operator=(const ScopedFile&) = delete;
-  std::FILE* get() const noexcept { return file_; }
-  int close() {
-    const int rc = std::fclose(file_);
-    file_ = nullptr;
-    return rc;
-  }
-
- private:
-  std::FILE* file_;
-};
-
-}  // namespace
 
 const char* timeline_series_name(TimelineSeries series) noexcept {
   switch (series) {
@@ -129,8 +53,9 @@ const char* timeline_series_name(TimelineSeries series) noexcept {
 }
 
 bool operator==(const TimelinePoint& a, const TimelinePoint& b) noexcept {
-  return double_bits(a.time) == double_bits(b.time) && a.shard == b.shard &&
-         a.values == b.values;
+  return std::bit_cast<std::uint64_t>(a.time) ==
+             std::bit_cast<std::uint64_t>(b.time) &&
+         a.shard == b.shard && a.values == b.values;
 }
 
 TimelineRecorder::TimelineRecorder(const TimelineConfig& config)
@@ -217,9 +142,9 @@ std::vector<TimelinePoint> merge_timeline(
 std::uint64_t timeline_digest(
     const std::vector<TimelinePoint>& points) noexcept {
   std::uint64_t hash = util::kFnvOffsetBasis;
-  unsigned char record[kTimelineRecordBytes];
+  unsigned char record[kTimelinePointRecordBytes];
   for (const TimelinePoint& point : points) {
-    encode_record(record, point);
+    encode_timeline_point(record, point);
     hash = util::fnv1a_update(hash, record, sizeof(record));
   }
   return hash;
@@ -248,105 +173,6 @@ void publish_timeline_metrics(const std::vector<TimelinePoint>& merged) {
     peak_active.record_max(static_cast<std::int64_t>(
         point.values[static_cast<std::size_t>(TimelineSeries::kActiveSessions)]));
   }
-}
-
-std::string timeline_sidecar_path(const std::string& shard_dir) {
-  return shard_dir + "/timeline.bin";
-}
-
-void save_timeline(const std::string& path,
-                   const std::vector<TimelinePoint>& points,
-                   double tick_seconds) {
-  const std::string tmp = path + ".tmp";
-  {
-    ScopedFile file(std::fopen(tmp.c_str(), "wb"));
-    if (file.get() == nullptr) {
-      throw std::runtime_error("timeline: cannot open " + tmp);
-    }
-    unsigned char header[kTimelineHeaderBytes];
-    std::memcpy(header, kTimelineMagic, 4);
-    put_u32(header + 4, kTimelineFormatVersion);
-    put_u32(header + 8, static_cast<std::uint32_t>(kTimelineSeriesCount));
-    put_u32(header + 12, 0);
-    put_u64(header + 16, double_bits(tick_seconds));
-    put_u64(header + 24, static_cast<std::uint64_t>(points.size()));
-    if (std::fwrite(header, 1, sizeof(header), file.get()) !=
-        sizeof(header)) {
-      throw std::runtime_error("timeline: short write to " + tmp);
-    }
-    unsigned char record[kTimelineRecordBytes];
-    std::uint32_t crc = util::crc32_init();
-    for (const TimelinePoint& point : points) {
-      encode_record(record, point);
-      crc = util::crc32_update(crc, record, sizeof(record));
-      if (std::fwrite(record, 1, sizeof(record), file.get()) !=
-          sizeof(record)) {
-        throw std::runtime_error("timeline: short write to " + tmp);
-      }
-    }
-    unsigned char trailer[4];
-    put_u32(trailer, util::crc32_final(crc));
-    if (std::fwrite(trailer, 1, sizeof(trailer), file.get()) !=
-        sizeof(trailer)) {
-      throw std::runtime_error("timeline: short write to " + tmp);
-    }
-    if (std::fflush(file.get()) != 0 || file.close() != 0) {
-      throw std::runtime_error("timeline: flush failed for " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("timeline: rename failed for " + path);
-  }
-}
-
-bool load_timeline(const std::string& path, std::vector<TimelinePoint>& out,
-                   double* tick_seconds) {
-  out.clear();
-  ScopedFile file(std::fopen(path.c_str(), "rb"));
-  if (file.get() == nullptr) return false;
-
-  unsigned char header[kTimelineHeaderBytes];
-  if (std::fread(header, 1, sizeof(header), file.get()) != sizeof(header)) {
-    throw std::runtime_error("timeline: truncated header in " + path);
-  }
-  if (std::memcmp(header, kTimelineMagic, 4) != 0) {
-    throw std::runtime_error("timeline: bad magic in " + path);
-  }
-  const std::uint32_t version = get_u32(header + 4);
-  if (version != kTimelineFormatVersion) {
-    throw std::runtime_error("timeline: unsupported version " +
-                             std::to_string(version) + " in " + path);
-  }
-  const std::uint32_t series = get_u32(header + 8);
-  if (series != kTimelineSeriesCount) {
-    throw std::runtime_error("timeline: series count mismatch in " + path +
-                             " (file has " + std::to_string(series) + ")");
-  }
-  if (tick_seconds != nullptr) *tick_seconds = bits_double(get_u64(header + 16));
-  const std::uint64_t count = get_u64(header + 24);
-  out.reserve(static_cast<std::size_t>(count));
-  unsigned char record[kTimelineRecordBytes];
-  std::uint32_t crc = util::crc32_init();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (std::fread(record, 1, sizeof(record), file.get()) !=
-        sizeof(record)) {
-      throw std::runtime_error("timeline: truncated record in " + path);
-    }
-    crc = util::crc32_update(crc, record, sizeof(record));
-    out.push_back(decode_record(record));
-  }
-  unsigned char trailer[4];
-  if (std::fread(trailer, 1, sizeof(trailer), file.get()) !=
-      sizeof(trailer)) {
-    throw std::runtime_error("timeline: truncated checksum in " + path);
-  }
-  if (get_u32(trailer) != util::crc32_final(crc)) {
-    throw std::runtime_error("timeline: checksum mismatch in " + path);
-  }
-  if (std::fread(record, 1, 1, file.get()) == 1) {
-    throw std::runtime_error("timeline: trailing bytes in " + path);
-  }
-  return true;
 }
 
 void write_timeline_counter_events(std::ostream& out,

@@ -64,9 +64,9 @@ struct TimelineConfig {
 };
 
 /// The declared series set.  Values are wire-stable: they index the
-/// per-tick value arrays written to the timeline sidecar files, so
-/// renumbering or appending is a format break (bump the format version
-/// and kTimelineSeriesCount together).
+/// per-tick value arrays written to the shard sidecar, so renumbering or
+/// appending is a format break (bump the sidecar version and
+/// kTimelineSeriesCount together).
 enum class TimelineSeries : std::uint8_t {
   kQueries = 0,           ///< QUERY messages recorded by the node
   kQueryHits = 1,         ///< QUERYHIT messages recorded by the node
@@ -104,6 +104,16 @@ struct TimelinePoint {
 };
 
 bool operator==(const TimelinePoint& a, const TimelinePoint& b) noexcept;
+
+/// Bytes of one encoded point: the unit timeline_digest hashes and the
+/// shard sidecar (obs/sidecar.hpp) stores.  Little-endian u64 time bits |
+/// u32 shard | u32 0 | kTimelineSeriesCount * u64 values.
+inline constexpr std::size_t kTimelinePointRecordBytes =
+    16 + 8 * kTimelineSeriesCount;
+
+void encode_timeline_point(unsigned char* out,
+                           const TimelinePoint& point) noexcept;
+TimelinePoint decode_timeline_point(const unsigned char* in) noexcept;
 
 /// Per-shard tick recorder.  Single-threaded like the shard simulation it
 /// instruments; TraceSimulation owns one per run and hands the raw
@@ -163,28 +173,9 @@ std::uint64_t timeline_digest(const std::vector<TimelinePoint>& points) noexcept
 /// ...) and the peak active-session level ("timeline.peak.active_sessions"
 /// gauge).  Call exactly once per analysis with the MERGED stream —
 /// aggregation over the merged order is what makes the numbers identical
-/// at any thread count, and what lets the streaming path reproduce them
-/// exactly from the sidecar files.
+/// at any thread count, and what makes a checkpointed run publish the
+/// same numbers as an in-memory one.
 void publish_timeline_metrics(const std::vector<TimelinePoint>& merged);
-
-/// "<shard_dir>/timeline.bin" — the per-shard sidecar the durable runner
-/// writes next to the trace spool and the streaming pass reads back.
-std::string timeline_sidecar_path(const std::string& shard_dir);
-
-/// Writes the sidecar atomically (tmp + rename).  An empty point list
-/// still writes a valid zero-count file: its presence is how readers know
-/// timelines were enabled for the run.
-void save_timeline(const std::string& path,
-                   const std::vector<TimelinePoint>& points,
-                   double tick_seconds);
-
-/// Loads a sidecar into `out` (replacing its contents), storing the
-/// file's tick length into *tick_seconds when non-null.  Returns false —
-/// leaving `out` empty — when the file does not exist (a checkpoint from
-/// before timelines, or a run with them off).  Throws std::runtime_error
-/// on a malformed file.
-bool load_timeline(const std::string& path, std::vector<TimelinePoint>& out,
-                   double* tick_seconds = nullptr);
 
 /// chrome://tracing counter fragments for the merged stream: "C" events
 /// (pid 3, ts = tick start in simulation microseconds) grouped into three

@@ -13,6 +13,7 @@
 #include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
 #include "util/crc32.hpp"
+#include "util/fsync.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -27,18 +28,6 @@ namespace fs = std::filesystem;
 // The encoder refuses any string the decoder would refuse, so the largest
 // record it can produce must still be a frame the reader accepts.
 static_assert(kMaxRecordBytes <= kSpoolMaxPayload);
-
-void fsync_directory(const std::string& dir) {
-#if defined(__unix__) || defined(__APPLE__)
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)dir;
-#endif
-}
 
 /// Single pass over every segment in index order, built on the
 /// validated-segment reader (spool_reader.hpp) so the scan and any
@@ -85,7 +74,7 @@ SpoolScan scan_spool_impl(const std::string& dir, bool truncate_tail,
     scan.report.records_truncated = 1;  // the torn tail frame
     if (truncate_tail) {
       fs::resize_file(path, seg.valid_end);
-      fsync_directory(dir);
+      util::fsync_path(dir);
     }
   }
   return scan;
@@ -240,7 +229,7 @@ std::uint64_t truncate_spool_to_valid_prefix(const std::string& dir) {
     dropped += static_cast<std::uint64_t>(fs::file_size(paths[i]));
     fs::remove(paths[i]);
   }
-  if (cut < paths.size() || dropped > 0) fsync_directory(dir);
+  if (cut < paths.size() || dropped > 0) util::fsync_path(dir);
   return dropped;
 }
 
@@ -308,7 +297,7 @@ void SpoolWriter::open_segment(std::size_t index, bool fresh) {
     if (std::ferror(f) != 0) {
       throw SpoolWriteError("spool: header write failed: " + path, errno);
     }
-    fsync_directory(dir_);
+    util::fsync_path(dir_);
   }
 }
 

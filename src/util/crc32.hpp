@@ -1,7 +1,7 @@
 // p2pgen — CRC-32 (IEEE 802.3, the zlib polynomial), slicing-by-8.
 //
 // The one CRC-32 in the repo: the spool frames (trace::crc32) and the
-// qtrace/timeline sidecar trailers (format v2) all checksum through it.
+// shard sidecar trailer (obs/sidecar.hpp) both checksum through it.
 // Header-only so the observability layer can use it without linking the
 // trace library.
 //

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "analysis/streaming.hpp"
 #include "behavior/trace_simulation.hpp"
 #include "geo/geoip.hpp"
+#include "obs/metrics.hpp"
 #include "obs/qtrace.hpp"
 #include "obs/timeline.hpp"
 #include "stats/rng.hpp"
@@ -557,6 +559,12 @@ behavior::TraceSimulationConfig sidecar_config() {
   return config;
 }
 
+std::string sidecar_path(const std::string& dir, unsigned shards,
+                         unsigned shard) {
+  return behavior::checkpoint_shard_dirs(dir, shards)[shard] + "/" +
+         behavior::kShardSidecarName;
+}
+
 TEST(CheckpointSalvage, DamagedSidecarsAreRebuiltDeterministically) {
   const auto model = core::WorkloadModel::paper_default();
   const auto config = sidecar_config();
@@ -565,36 +573,191 @@ TEST(CheckpointSalvage, DamagedSidecarsAreRebuiltDeterministically) {
   durability.dir = dir;
   const trace::Trace first = durable_run(model, config, 2, 2, durability);
 
-  // Bit-flip one byte inside each sidecar of shard 0: the CRC trailer
-  // must reject the load, and the resume must rebuild both by replaying
-  // the shard (digest-verified against its intact spool).
-  const std::string shard0 = behavior::checkpoint_shard_dirs(dir, 2)[0];
-  const std::string qtrace_path = obs::qtrace_sidecar_path(shard0);
-  const std::string timeline_path = obs::timeline_sidecar_path(shard0);
-  const std::vector<char> qtrace_first = read_bytes(qtrace_path);
-  const std::vector<char> timeline_first = read_bytes(timeline_path);
-  ASSERT_GT(qtrace_first.size(), 64u);
-  ASSERT_GT(timeline_first.size(), 64u);
-  flip_byte(qtrace_path, qtrace_first.size() / 2, 0x40);
-  flip_byte(timeline_path, timeline_first.size() / 2, 0x40);
+  // Bit-flip one byte inside shard 0's sidecar: the CRC trailer must
+  // reject the load, and the resume must rebuild it by replaying the
+  // shard (digest-verified against its intact spool).
+  const std::string path = sidecar_path(dir, 2, 0);
+  const std::vector<char> sidecar_first = read_bytes(path);
+  ASSERT_GT(sidecar_first.size(), 64u);
+  flip_byte(path, sidecar_first.size() / 2, 0x40);
 
   durability.resume = true;
   behavior::RecoverySummary summary;
   const trace::Trace second =
       durable_run(model, config, 2, 2, durability, &summary);
   EXPECT_EQ(serialize(second), serialize(first));
-  EXPECT_EQ(summary.sidecars_rebuilt, 1u);  // one shard, both its sidecars
+  EXPECT_EQ(summary.sidecars_rebuilt, 1u);  // one shard, its one sidecar
   EXPECT_GT(summary.events_replayed, 0u);   // the rebuild is a real replay
 
-  // The rebuilt sidecars are byte-identical to the originals.
-  EXPECT_EQ(read_bytes(qtrace_path), qtrace_first);
-  EXPECT_EQ(read_bytes(timeline_path), timeline_first);
+  // The rebuilt sidecar is byte-identical to the original.
+  EXPECT_EQ(read_bytes(path), sidecar_first);
 
-  // A further resume finds valid sidecars and rebuilds nothing.
+  // A further resume finds a valid sidecar and rebuilds nothing.
   behavior::RecoverySummary again;
   behavior::simulate_to_spools(model, config, 2, 2, durability, &again);
   EXPECT_EQ(again.sidecars_rebuilt, 0u);
   EXPECT_EQ(again.shards_completed_prior, 2u);
+  fs::remove_all(dir);
+}
+
+/// Every published qtrace.* and timeline.* metric, by name.
+std::map<std::string, std::string> stream_metrics(
+    const obs::MetricsSnapshot& snapshot) {
+  const auto wanted = [](const std::string& name) {
+    return name.rfind("qtrace.", 0) == 0 || name.rfind("timeline.", 0) == 0;
+  };
+  std::map<std::string, std::string> out;
+  for (const auto& c : snapshot.counters) {
+    if (wanted(c.name)) out[c.name] = std::to_string(c.value);
+  }
+  for (const auto& g : snapshot.gauges) {
+    if (wanted(g.name)) out[g.name] = std::to_string(g.value);
+  }
+  for (const auto& h : snapshot.histograms) {
+    if (!wanted(h.name)) continue;
+    std::ostringstream os;
+    for (const auto b : h.buckets) os << b << ",";
+    os << "count=" << h.count << " sum=" << h.sum;
+    out[h.name] = os.str();
+  }
+  return out;
+}
+
+/// What a run returned and published of its two observational streams.
+struct Streams {
+  std::uint64_t qtrace_digest = 0;
+  std::uint64_t timeline_digest = 0;
+  std::size_t hops = 0;
+  std::size_t ticks = 0;
+  std::map<std::string, std::string> metrics;
+  bool operator==(const Streams&) const = default;
+};
+
+Streams in_memory_streams(const core::WorkloadModel& model,
+                          const behavior::TraceSimulationConfig& config) {
+  auto& registry = obs::Registry::global();
+  registry.reset();
+  std::vector<obs::QueryHopEvent> qtrace;
+  std::vector<obs::TimelinePoint> timeline;
+  behavior::simulate_trace_sharded(model, config, 2, 2, nullptr, &qtrace,
+                                   &timeline);
+  return {obs::qtrace_digest(qtrace), obs::timeline_digest(timeline),
+          qtrace.size(), timeline.size(),
+          stream_metrics(registry.snapshot())};
+}
+
+Streams checkpoint_streams(const core::WorkloadModel& model,
+                           const behavior::TraceSimulationConfig& config,
+                           const behavior::DurabilityConfig& durability,
+                           behavior::RecoverySummary* summary) {
+  auto& registry = obs::Registry::global();
+  registry.reset();
+  std::vector<obs::QueryHopEvent> qtrace;
+  std::vector<obs::TimelinePoint> timeline;
+  const auto dirs = behavior::simulate_to_spools(
+      model, config, 2, 2, durability, summary, nullptr, &qtrace, &timeline);
+  (void)analysis::analyze_spools(dirs, geo::GeoIpDatabase::synthetic());
+  return {obs::qtrace_digest(qtrace), obs::timeline_digest(timeline),
+          qtrace.size(), timeline.size(),
+          stream_metrics(registry.snapshot())};
+}
+
+TEST(CheckpointSidecar, DeletedSidecarOfADoneShardIsRebuilt) {
+  obs::Registry::global().set_enabled(true);
+  const auto model = core::WorkloadModel::paper_default();
+  const auto config = sidecar_config();
+  const Streams want = in_memory_streams(model, config);
+  ASSERT_GT(want.hops, 0u);
+  ASSERT_GT(want.ticks, 0u);
+
+  const std::string dir = fresh_dir("sidecar_deleted");
+  behavior::DurabilityConfig durability;
+  durability.dir = dir;
+  EXPECT_EQ(checkpoint_streams(model, config, durability, nullptr), want);
+
+  // A missing sidecar is not an empty one: the shard is replayed.
+  const std::string path = sidecar_path(dir, 2, 1);
+  const std::vector<char> original = read_bytes(path);
+  ASSERT_TRUE(fs::remove(path));
+  durability.resume = true;
+  behavior::RecoverySummary summary;
+  EXPECT_EQ(checkpoint_streams(model, config, durability, &summary), want);
+  EXPECT_EQ(summary.sidecars_rebuilt, 1u);
+  EXPECT_EQ(summary.shards_completed_prior, 1u);
+  EXPECT_EQ(read_bytes(path), original);
+  fs::remove_all(dir);
+}
+
+TEST(CheckpointSidecar, ResumeAtAnotherRateAndTickRebuildsEveryDoneShard) {
+  obs::Registry::global().set_enabled(true);
+  const auto model = core::WorkloadModel::paper_default();
+  auto first = sidecar_config();
+  first.qtrace.sample_rate = 0.25;
+  first.timeline.tick_seconds = 300.0;
+  const std::string dir = fresh_dir("sidecar_stale");
+  behavior::DurabilityConfig durability;
+  durability.dir = dir;
+  EXPECT_EQ(checkpoint_streams(model, first, durability, nullptr),
+            in_memory_streams(model, first));
+
+  // Each stream's setting is checked on its own, and every changed one
+  // makes each done shard's sidecar stale.
+  durability.resume = true;
+  auto rate_only = first;
+  rate_only.qtrace.sample_rate = 0.5;
+  auto both = first;
+  both.qtrace.sample_rate = 1.0;
+  both.timeline.tick_seconds = 60.0;
+  for (const auto& config : {rate_only, both}) {
+    const Streams want = in_memory_streams(model, config);
+    behavior::RecoverySummary summary;
+    EXPECT_EQ(checkpoint_streams(model, config, durability, &summary), want);
+    EXPECT_EQ(summary.sidecars_rebuilt, 2u);
+    EXPECT_EQ(summary.shards_completed_prior, 0u);
+
+    // The rebuilt sidecars are current: the next resume replays nothing.
+    behavior::RecoverySummary again;
+    EXPECT_EQ(checkpoint_streams(model, config, durability, &again), want);
+    EXPECT_EQ(again.sidecars_rebuilt, 0u);
+    EXPECT_EQ(again.shards_completed_prior, 2u);
+  }
+
+  // A stream that is off is not checked: the timeline alone still
+  // matches the sidecars written at `both`.
+  auto timeline_only = both;
+  timeline_only.qtrace.sample_rate = 0.0;
+  behavior::RecoverySummary summary;
+  EXPECT_EQ(checkpoint_streams(model, timeline_only, durability, &summary),
+            in_memory_streams(model, timeline_only));
+  EXPECT_EQ(summary.sidecars_rebuilt, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(CheckpointSidecar, ResumeWithBothStreamsOffPublishesNothing) {
+  obs::Registry::global().set_enabled(true);
+  const auto model = core::WorkloadModel::paper_default();
+  const auto config = sidecar_config();
+  const std::string dir = fresh_dir("sidecar_off");
+  behavior::DurabilityConfig durability;
+  durability.dir = dir;
+  checkpoint_streams(model, config, durability, nullptr);
+
+  auto off = config;
+  off.qtrace.sample_rate = 0.0;
+  off.timeline.tick_seconds = 0.0;
+  const Streams want = in_memory_streams(model, off);
+  durability.resume = true;
+  behavior::RecoverySummary summary;
+  const Streams got = checkpoint_streams(model, off, durability, &summary);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.hops, 0u);
+  EXPECT_EQ(got.ticks, 0u);
+  for (const auto& [name, value] : got.metrics) {
+    EXPECT_TRUE(value == "0" || value.find("count=0 ") != std::string::npos)
+        << name << " = " << value;
+  }
+  EXPECT_EQ(summary.sidecars_rebuilt, 0u);
+  EXPECT_EQ(summary.shards_completed_prior, 2u);
   fs::remove_all(dir);
 }
 

@@ -1,10 +1,10 @@
 // Tests for query-lifecycle tracing (obs/qtrace, DESIGN.md §12): the
 // deterministic sampler, the tracer's gate + latency bookkeeping, the
-// (time, shard) merge, the sidecar wire format, and the load-bearing
-// contracts against the real pipeline — sampled traces bit-identical at
-// 1/2/8 threads on a faulted flash-crowd run, tracing at any rate never
-// perturbing the simulated trace, and the streaming replay reproducing
-// the materialized path's aggregates exactly from the sidecar files.
+// (time, shard) merge, the hops in the shard sidecar's wire format, and
+// the load-bearing contracts against the real pipeline — sampled traces
+// bit-identical at 1/2/8 threads on a faulted flash-crowd run, tracing at
+// any rate never perturbing the simulated trace, and a checkpointed run
+// and its resume publishing the in-memory run's aggregates exactly.
 #include "obs/qtrace.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -21,7 +22,9 @@
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sidecar.hpp"
 #include "trace/trace_io.hpp"
+#include "util/crc32.hpp"
 
 namespace p2pgen {
 namespace {
@@ -110,13 +113,12 @@ TEST(QtraceSidecar, RoundTripsMissingFileAndCorruption) {
   const std::string dir = ::testing::TempDir() + "/p2pgen_qtrace_sidecar";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  const std::string path = obs::qtrace_sidecar_path(dir);
+  const std::string path = dir + "/sidecar.bin";
 
-  std::vector<obs::QueryHopEvent> out;
-  EXPECT_FALSE(obs::load_qtrace(path, out));  // not written yet
-  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(obs::load_sidecar(path).has_value());  // not written yet
 
-  std::vector<obs::QueryHopEvent> events;
+  obs::Sidecar sidecar;
+  sidecar.qtrace_rate = 0.25;
   obs::QueryHopEvent e;
   e.time = 123.456;
   e.query = 0xdeadbeefULL;
@@ -125,32 +127,38 @@ TEST(QtraceSidecar, RoundTripsMissingFileAndCorruption) {
   e.ttl = 2;
   e.hops = 5;
   e.value = 0.75;
-  events.push_back(e);
-  events.push_back(obs::QueryHopEvent{});
-  obs::save_qtrace(path, events);
+  sidecar.qtrace.push_back(e);
+  sidecar.qtrace.push_back(obs::QueryHopEvent{});
+  obs::save_sidecar(path, sidecar);
 
-  EXPECT_TRUE(obs::load_qtrace(path, out));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_TRUE(out[0] == events[0]);
-  EXPECT_TRUE(out[1] == events[1]);
-  EXPECT_EQ(obs::qtrace_digest(out), obs::qtrace_digest(events));
+  auto out = obs::load_sidecar(path);
+  ASSERT_TRUE(out.has_value());
+  ASSERT_EQ(out->qtrace.size(), 2u);
+  EXPECT_TRUE(out->qtrace[0] == sidecar.qtrace[0]);
+  EXPECT_TRUE(out->qtrace[1] == sidecar.qtrace[1]);
+  EXPECT_EQ(obs::qtrace_digest(out->qtrace), obs::qtrace_digest(sidecar.qtrace));
+  EXPECT_EQ(out->qtrace_rate, 0.25);
+  EXPECT_EQ(out->timeline_tick, 0.0);
+  EXPECT_TRUE(out->timeline.empty());
 
-  // An empty sidecar is valid (presence == "tracing was on").
-  obs::save_qtrace(path, {});
-  EXPECT_TRUE(obs::load_qtrace(path, out));
-  EXPECT_TRUE(out.empty());
+  // An empty sidecar is valid.
+  obs::save_sidecar(path, obs::Sidecar{});
+  out = obs::load_sidecar(path);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(out->qtrace.empty());
 
   // Truncation and a foreign magic must throw, not misparse.
-  obs::save_qtrace(path, events);
+  obs::save_sidecar(path, sidecar);
   std::error_code ec;
   std::filesystem::resize_file(path, 20, ec);
   ASSERT_FALSE(ec);
-  EXPECT_THROW(obs::load_qtrace(path, out), std::runtime_error);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
+  obs::save_sidecar(path, sidecar);
   {
-    std::ofstream bad(path, std::ios::binary | std::ios::trunc);
-    bad << "nope-not-a-qtrace-file";
+    std::fstream bad(path, std::ios::binary | std::ios::in | std::ios::out);
+    bad.write("nope", 4);
   }
-  EXPECT_THROW(obs::load_qtrace(path, out), std::runtime_error);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
   std::filesystem::remove_all(dir);
 }
 
@@ -158,16 +166,18 @@ TEST(QtraceSidecar, ChecksumTrailerDetectsSingleBitFlips) {
   const std::string dir = ::testing::TempDir() + "/p2pgen_qtrace_crc";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  const std::string path = obs::qtrace_sidecar_path(dir);
+  const std::string path = dir + "/sidecar.bin";
 
-  std::vector<obs::QueryHopEvent> events(3);
-  events[0].time = 1.5;
-  events[0].query = 0x1111;
-  events[1].time = 2.5;
-  events[1].query = 0x2222;
-  events[2].time = 3.5;
-  events[2].query = 0x3333;
-  obs::save_qtrace(path, events);
+  obs::Sidecar sidecar;
+  sidecar.qtrace_rate = 1.0;
+  sidecar.qtrace.resize(3);
+  sidecar.qtrace[0].time = 1.5;
+  sidecar.qtrace[0].query = 0x1111;
+  sidecar.qtrace[1].time = 2.5;
+  sidecar.qtrace[1].query = 0x2222;
+  sidecar.qtrace[2].time = 3.5;
+  sidecar.qtrace[2].query = 0x3333;
+  obs::save_sidecar(path, sidecar);
   const auto size = std::filesystem::file_size(path);
 
   const auto flip = [&](std::uint64_t offset) {
@@ -181,25 +191,81 @@ TEST(QtraceSidecar, ChecksumTrailerDetectsSingleBitFlips) {
     f.write(&byte, 1);
   };
 
-  std::vector<obs::QueryHopEvent> out;
   // A flip in a record body only the trailer can catch (the framing is
   // still perfectly well-formed).
   flip(size - 8);
-  EXPECT_THROW(obs::load_qtrace(path, out), std::runtime_error);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
   flip(size - 8);  // restore
-  EXPECT_TRUE(obs::load_qtrace(path, out));
-  EXPECT_EQ(out.size(), 3u);
+  const auto out = obs::load_sidecar(path);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->qtrace.size(), 3u);
+
+  // A flip in the header's recorded rate: the CRC covers the header too.
+  flip(8);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
+  flip(8);
 
   // A flip in the trailer itself.
   flip(size - 2);
-  EXPECT_THROW(obs::load_qtrace(path, out), std::runtime_error);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
   flip(size - 2);
 
   // A sidecar whose checksum was cut off must not load as valid.
   std::error_code ec;
   std::filesystem::resize_file(path, size - 2, ec);
   ASSERT_FALSE(ec);
-  EXPECT_THROW(obs::load_qtrace(path, out), std::runtime_error);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(QtraceSidecar, CountThatDisagreesWithTheFileSizeIsRefusedUnallocated) {
+  const std::string dir = ::testing::TempDir() + "/p2pgen_qtrace_count";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/sidecar.bin";
+  obs::Sidecar sidecar;
+  sidecar.qtrace_rate = 1.0;
+  sidecar.qtrace.resize(3);
+  obs::save_sidecar(path, sidecar);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+
+  // Rewrites the hop count (header bytes 32..39) and re-seals the CRC,
+  // so only the count check stands between the file and the reader.
+  const auto write_count = [&](std::uint64_t count) {
+    std::string forged = bytes;
+    for (int i = 0; i < 8; ++i) {
+      forged[32 + i] = static_cast<char>((count >> (8 * i)) & 0xffU);
+    }
+    const std::uint32_t crc =
+        util::crc32(forged.data() + 4, forged.size() - 8);
+    for (int i = 0; i < 4; ++i) {
+      forged[forged.size() - 4 + i] =
+          static_cast<char>((crc >> (8 * i)) & 0xffU);
+    }
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << forged;
+  };
+
+  // A count past any allocation (reserve would throw std::length_error,
+  // not the reader's std::runtime_error) and one record too many.
+  for (const std::uint64_t count : {std::uint64_t{1} << 60, std::uint64_t{4}}) {
+    write_count(count);
+    try {
+      (void)obs::load_sidecar(path);
+      ADD_FAILURE() << "count " << count << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("file size"), std::string::npos)
+          << e.what();
+    }
+  }
+  write_count(3);
+  const auto out = obs::load_sidecar(path);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->qtrace.size(), 3u);
   std::filesystem::remove_all(dir);
 }
 
@@ -322,7 +388,7 @@ TEST(QtraceContract, DropReasonsCoverTheFaultedRun) {
   }
 }
 
-TEST(QtraceContract, StreamingReplayReproducesMaterializedAggregates) {
+TEST(QtraceContract, CheckpointRunReproducesInMemoryAggregates) {
   auto& registry = obs::Registry::global();
   registry.set_enabled(true);
   const auto model = core::WorkloadModel::paper_default();
@@ -339,34 +405,34 @@ TEST(QtraceContract, StreamingReplayReproducesMaterializedAggregates) {
                                    &materialized);
   const auto mat_aggregates = qtrace_aggregates(registry.snapshot());
 
-  // Streaming run over a fresh spool: aggregates come from replaying the
-  // per-shard qtrace.bin sidecars in merge order, not from any in-memory
-  // buffer.
+  // Checkpointed run over a fresh spool: the producer returns and
+  // publishes the same merged stream; the analysis of the spools
+  // publishes no qtrace metric of its own.
   behavior::DurabilityConfig durability;
   durability.dir = base + "/str";
   registry.reset();
-  const auto spool_dirs =
-      behavior::simulate_to_spools(model, config, 2, 2, durability);
-  const auto result =
-      analysis::analyze_spools(spool_dirs, geo::GeoIpDatabase::synthetic());
+  std::vector<obs::QueryHopEvent> checkpointed;
+  const auto spool_dirs = behavior::simulate_to_spools(
+      model, config, 2, 2, durability, nullptr, nullptr, &checkpointed);
+  (void)analysis::analyze_spools(spool_dirs, geo::GeoIpDatabase::synthetic());
   const auto str_aggregates = qtrace_aggregates(registry.snapshot());
 
   EXPECT_GT(materialized.size(), 0u);
-  EXPECT_EQ(obs::qtrace_digest(materialized), obs::qtrace_digest(result.qtrace));
+  EXPECT_EQ(obs::qtrace_digest(materialized), obs::qtrace_digest(checkpointed));
   EXPECT_FALSE(mat_aggregates.empty());
   EXPECT_EQ(mat_aggregates, str_aggregates);
 
-  // A resume of the finished checkpoint re-simulates nothing and its
-  // analysis replays the same sidecars: same stream, same aggregates.
+  // A resume of the finished checkpoint re-simulates nothing and reads
+  // the shards' sidecars back: same stream, same aggregates.
   durability.resume = true;
   registry.reset();
   behavior::RecoverySummary summary;
-  behavior::simulate_to_spools(model, config, 2, 2, durability, &summary);
+  std::vector<obs::QueryHopEvent> resumed;
+  behavior::simulate_to_spools(model, config, 2, 2, durability, &summary,
+                               nullptr, &resumed);
   EXPECT_EQ(summary.shards_completed_prior, 2u);
-  const auto resumed =
-      analysis::analyze_spools(spool_dirs, geo::GeoIpDatabase::synthetic());
-  EXPECT_EQ(obs::qtrace_digest(materialized),
-            obs::qtrace_digest(resumed.qtrace));
+  EXPECT_EQ(summary.sidecars_rebuilt, 0u);
+  EXPECT_EQ(obs::qtrace_digest(materialized), obs::qtrace_digest(resumed));
   EXPECT_EQ(qtrace_aggregates(registry.snapshot()), mat_aggregates);
   std::filesystem::remove_all(base);
 }

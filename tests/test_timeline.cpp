@@ -1,11 +1,11 @@
 // Tests for sim-time metric timelines (obs/timeline, DESIGN.md §13): the
 // lazy tick recorder (gate, gauge levels, trailing-tick flush), the
-// (time, shard) merge, the sidecar wire format, and the load-bearing
-// contracts against the real pipeline — tick streams bit-identical at
-// 1/2/8 threads, recording at any tick rate never perturbing the
-// simulated trace or the config digest, the durable resume reloading
-// identical sidecars, and the streaming replay reproducing the
-// materialized path's merged timeline exactly.
+// (time, shard) merge, the ticks in the shard sidecar's wire format, and
+// the load-bearing contracts against the real pipeline — tick streams
+// bit-identical at 1/2/8 threads, recording at any tick rate never
+// perturbing the simulated trace or the config digest, and a checkpointed
+// run and its resume returning the in-memory run's merged timeline
+// exactly.
 #include "obs/timeline.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "behavior/checkpoint.hpp"
 #include "behavior/sharded_simulation.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sidecar.hpp"
 #include "trace/trace_io.hpp"
 
 namespace p2pgen {
@@ -117,44 +118,52 @@ TEST(TimelineSidecar, RoundTripsMissingFileAndCorruption) {
   const std::string dir = ::testing::TempDir() + "/p2pgen_timeline_sidecar";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  const std::string path = obs::timeline_sidecar_path(dir);
+  const std::string path = dir + "/sidecar.bin";
 
-  std::vector<obs::TimelinePoint> out;
-  double tick = -1.0;
-  EXPECT_FALSE(obs::load_timeline(path, out, &tick));  // not written yet
-  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(obs::load_sidecar(path).has_value());  // not written yet
 
-  std::vector<obs::TimelinePoint> points(2);
-  points[0].time = 600.0;
-  points[0].shard = 3;
-  points[0].values[idx(TimelineSeries::kQueries)] = 42;
-  points[0].values[idx(TimelineSeries::kActiveSessions)] = 7;
-  points[1].time = 1200.0;
-  obs::save_timeline(path, points, 600.0);
+  obs::Sidecar sidecar;
+  sidecar.timeline_tick = 600.0;
+  sidecar.timeline.resize(2);
+  sidecar.timeline[0].time = 600.0;
+  sidecar.timeline[0].shard = 3;
+  sidecar.timeline[0].values[idx(TimelineSeries::kQueries)] = 42;
+  sidecar.timeline[0].values[idx(TimelineSeries::kActiveSessions)] = 7;
+  sidecar.timeline[1].time = 1200.0;
+  obs::save_sidecar(path, sidecar);
 
-  EXPECT_TRUE(obs::load_timeline(path, out, &tick));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_TRUE(out[0] == points[0]);
-  EXPECT_TRUE(out[1] == points[1]);
-  EXPECT_DOUBLE_EQ(tick, 600.0);
-  EXPECT_EQ(obs::timeline_digest(out), obs::timeline_digest(points));
+  auto out = obs::load_sidecar(path);
+  ASSERT_TRUE(out.has_value());
+  ASSERT_EQ(out->timeline.size(), 2u);
+  EXPECT_TRUE(out->timeline[0] == sidecar.timeline[0]);
+  EXPECT_TRUE(out->timeline[1] == sidecar.timeline[1]);
+  EXPECT_DOUBLE_EQ(out->timeline_tick, 600.0);
+  EXPECT_EQ(out->qtrace_rate, 0.0);
+  EXPECT_TRUE(out->qtrace.empty());
+  EXPECT_EQ(obs::timeline_digest(out->timeline),
+            obs::timeline_digest(sidecar.timeline));
 
-  // An empty sidecar is valid (presence == "timelines were on").
-  obs::save_timeline(path, {}, 600.0);
-  EXPECT_TRUE(obs::load_timeline(path, out));
-  EXPECT_TRUE(out.empty());
+  // An empty sidecar is valid and keeps its recorded tick.
+  obs::Sidecar empty;
+  empty.timeline_tick = 600.0;
+  obs::save_sidecar(path, empty);
+  out = obs::load_sidecar(path);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(out->timeline.empty());
+  EXPECT_DOUBLE_EQ(out->timeline_tick, 600.0);
 
   // Truncation and a foreign magic must throw, not misparse.
-  obs::save_timeline(path, points, 600.0);
+  obs::save_sidecar(path, sidecar);
   std::error_code ec;
   std::filesystem::resize_file(path, 40, ec);
   ASSERT_FALSE(ec);
-  EXPECT_THROW(obs::load_timeline(path, out), std::runtime_error);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
+  obs::save_sidecar(path, sidecar);
   {
-    std::ofstream bad(path, std::ios::binary | std::ios::trunc);
-    bad << "nope-not-a-timeline-file";
+    std::fstream bad(path, std::ios::binary | std::ios::in | std::ios::out);
+    bad.write("nope", 4);
   }
-  EXPECT_THROW(obs::load_timeline(path, out), std::runtime_error);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
   std::filesystem::remove_all(dir);
 }
 
@@ -162,16 +171,18 @@ TEST(TimelineSidecar, ChecksumTrailerDetectsSingleBitFlips) {
   const std::string dir = ::testing::TempDir() + "/p2pgen_timeline_crc";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  const std::string path = obs::timeline_sidecar_path(dir);
+  const std::string path = dir + "/sidecar.bin";
 
-  std::vector<obs::TimelinePoint> points(3);
-  points[0].time = 600.0;
-  points[0].values[idx(TimelineSeries::kQueries)] = 11;
-  points[1].time = 1200.0;
-  points[1].values[idx(TimelineSeries::kQueries)] = 22;
-  points[2].time = 1800.0;
-  points[2].values[idx(TimelineSeries::kQueries)] = 33;
-  obs::save_timeline(path, points, 600.0);
+  obs::Sidecar sidecar;
+  sidecar.timeline_tick = 600.0;
+  sidecar.timeline.resize(3);
+  sidecar.timeline[0].time = 600.0;
+  sidecar.timeline[0].values[idx(TimelineSeries::kQueries)] = 11;
+  sidecar.timeline[1].time = 1200.0;
+  sidecar.timeline[1].values[idx(TimelineSeries::kQueries)] = 22;
+  sidecar.timeline[2].time = 1800.0;
+  sidecar.timeline[2].values[idx(TimelineSeries::kQueries)] = 33;
+  obs::save_sidecar(path, sidecar);
   const auto size = std::filesystem::file_size(path);
 
   const auto flip = [&](std::uint64_t offset) {
@@ -185,25 +196,30 @@ TEST(TimelineSidecar, ChecksumTrailerDetectsSingleBitFlips) {
     f.write(&byte, 1);
   };
 
-  std::vector<obs::TimelinePoint> out;
   // A flip in a record body only the trailer can catch (the framing is
   // still perfectly well-formed).
   flip(size - 8);
-  EXPECT_THROW(obs::load_timeline(path, out), std::runtime_error);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
   flip(size - 8);  // restore
-  EXPECT_TRUE(obs::load_timeline(path, out));
-  EXPECT_EQ(out.size(), 3u);
+  const auto out = obs::load_sidecar(path);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->timeline.size(), 3u);
+
+  // A flip in the header's recorded tick: the CRC covers the header too.
+  flip(16);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
+  flip(16);
 
   // A flip in the trailer itself.
   flip(size - 2);
-  EXPECT_THROW(obs::load_timeline(path, out), std::runtime_error);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
   flip(size - 2);
 
   // A sidecar whose checksum was cut off must not load as valid.
   std::error_code ec;
   std::filesystem::resize_file(path, size - 2, ec);
   ASSERT_FALSE(ec);
-  EXPECT_THROW(obs::load_timeline(path, out), std::runtime_error);
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
   std::filesystem::remove_all(dir);
 }
 
@@ -348,7 +364,7 @@ TEST(TimelineContract, SeriesCoverTheFaultedRunAndRegionsSumToQueries) {
   EXPECT_GT(snapshot.gauge_value("timeline.peak.active_sessions"), 0);
 }
 
-TEST(TimelineContract, DurableResumeAndStreamingReplayAreIdentical) {
+TEST(TimelineContract, CheckpointRunAndResumeReproduceInMemoryTimeline) {
   auto& registry = obs::Registry::global();
   registry.set_enabled(true);
   const auto model = core::WorkloadModel::paper_default();
@@ -372,33 +388,38 @@ TEST(TimelineContract, DurableResumeAndStreamingReplayAreIdentical) {
                                    &sharded);
   EXPECT_EQ(obs::timeline_digest(materialized), obs::timeline_digest(sharded));
 
-  // Streaming run over a fresh spool: the merged timeline comes from the
-  // per-shard timeline.bin sidecars alone, never from an in-memory buffer.
+  // Checkpointed run over a fresh spool: the producer returns and
+  // publishes the same merged timeline, and each shard's sidecar records
+  // the tick it was made at.
   behavior::DurabilityConfig durability;
   durability.dir = base + "/str";
   registry.reset();
-  const auto spool_dirs =
-      behavior::simulate_to_spools(model, config, 2, 2, durability);
-  const auto result =
-      analysis::analyze_spools(spool_dirs, geo::GeoIpDatabase::synthetic());
+  std::vector<obs::TimelinePoint> checkpointed;
+  const auto spool_dirs = behavior::simulate_to_spools(
+      model, config, 2, 2, durability, nullptr, nullptr, nullptr,
+      &checkpointed);
+  (void)analysis::analyze_spools(spool_dirs, geo::GeoIpDatabase::synthetic());
   const auto str_aggregates = timeline_aggregates(registry.snapshot());
   EXPECT_EQ(obs::timeline_digest(materialized),
-            obs::timeline_digest(result.timeline));
-  EXPECT_DOUBLE_EQ(result.timeline_tick_seconds, config.timeline.tick_seconds);
+            obs::timeline_digest(checkpointed));
+  const auto sidecar = obs::load_sidecar(
+      spool_dirs[0] + "/" + behavior::kShardSidecarName);
+  ASSERT_TRUE(sidecar.has_value());
+  EXPECT_DOUBLE_EQ(sidecar->timeline_tick, config.timeline.tick_seconds);
   EXPECT_FALSE(mat_aggregates.empty());
   EXPECT_EQ(mat_aggregates, str_aggregates);
 
-  // A resume of the finished checkpoint re-simulates nothing and its
-  // analysis replays the same sidecars: same stream, same aggregates.
+  // A resume of the finished checkpoint re-simulates nothing and reads
+  // the shards' sidecars back: same stream, same aggregates.
   durability.resume = true;
   registry.reset();
   behavior::RecoverySummary summary;
-  behavior::simulate_to_spools(model, config, 2, 2, durability, &summary);
+  std::vector<obs::TimelinePoint> resumed;
+  behavior::simulate_to_spools(model, config, 2, 2, durability, &summary,
+                               nullptr, nullptr, &resumed);
   EXPECT_EQ(summary.shards_completed_prior, 2u);
-  const auto resumed =
-      analysis::analyze_spools(spool_dirs, geo::GeoIpDatabase::synthetic());
-  EXPECT_EQ(obs::timeline_digest(materialized),
-            obs::timeline_digest(resumed.timeline));
+  EXPECT_EQ(summary.sidecars_rebuilt, 0u);
+  EXPECT_EQ(obs::timeline_digest(materialized), obs::timeline_digest(resumed));
   EXPECT_EQ(timeline_aggregates(registry.snapshot()), mat_aggregates);
   std::filesystem::remove_all(base);
 }
