@@ -1,17 +1,20 @@
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <span>
 #include <sstream>
+#include <thread>
 
 #include "behavior/checkpoint.hpp"
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace p2pgen::bench {
 namespace {
@@ -67,6 +70,25 @@ trace::Trace cached_trace(const core::WorkloadModel& model,
                                           scale.threads);
 }
 
+// The whole of environment variable `name` as a number in [lo, hi], or
+// `fallback` when it is unset.  Anything else ends the bench with a
+// one-line error naming `what` it must be: "4x" or "abc" must not run
+// some other experiment.
+template <typename T>
+T env_number(const char* name, T lo, T hi, T fallback, const char* what) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return fallback;
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || !(value >= lo && value <= hi)) {
+    std::cerr << "bench: " << name << "=" << text << " is not " << what
+              << "\n";
+    std::exit(1);
+  }
+  return value;
+}
+
 }  // namespace
 
 BenchScale bench_scale() {
@@ -81,20 +103,20 @@ BenchScale bench_scale() {
   (void)metrics_hook_armed;
 
   BenchScale scale;
-  scale.threads = util::ThreadPool::recommended_threads();
-  if (const char* shards = std::getenv("P2PGEN_SHARDS")) {
-    const long n = std::atol(shards);
-    if (n > 0) scale.shards = static_cast<unsigned>(std::min(n, 4096L));
-  }
+  scale.threads = env_number(
+      "P2PGEN_THREADS", 1u, std::numeric_limits<unsigned>::max(),
+      std::max(std::thread::hardware_concurrency(), 1u),
+      "a positive integer");
+  scale.shards = env_number("P2PGEN_SHARDS", 1u, 4096u, scale.shards,
+                            "an integer from 1 to 4096");
   if (const char* full = std::getenv("P2PGEN_FULL"); full && full[0] == '1') {
     scale.days = 40.0;
     scale.full = true;
     return scale;
   }
-  if (const char* days = std::getenv("P2PGEN_DAYS")) {
-    const double d = std::atof(days);
-    if (d > 0.0) scale.days = d;
-  }
+  scale.days = env_number("P2PGEN_DAYS", std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::max(), scale.days,
+                          "a positive number");
   return scale;
 }
 

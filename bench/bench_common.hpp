@@ -15,6 +15,8 @@
 //   P2PGEN_THREADS=<n> — threads for the shard fan-out
 //                        (default: hardware concurrency)
 //   P2PGEN_NO_CACHE=1  — always re-simulate
+// A malformed P2PGEN_DAYS, P2PGEN_SHARDS or P2PGEN_THREADS ends the bench
+// with a one-line error (exit 1) before anything is simulated.
 #pragma once
 
 #include <iostream>

@@ -22,7 +22,6 @@
 
 #include "scenario/curated.hpp"
 #include "scenario/runner.hpp"
-#include "util/thread_pool.hpp"
 
 int main() {
   using namespace p2pgen;

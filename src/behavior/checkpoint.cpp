@@ -26,7 +26,7 @@
 #include "sim/simulator.hpp"
 #include "trace/trace_io.hpp"
 #include "util/fsync.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace p2pgen::behavior {
 namespace {
@@ -177,7 +177,7 @@ struct ShardProgress {
 
 /// Internal: a sibling shard hit an unrecoverable write error, so this
 /// shard should stop at its next stride.  Caught inside the shard lambda
-/// — it never escapes to the pool.
+/// — it never escapes to the fan-out.
 struct ShardStopRequested {};
 
 /// Cross-shard clean-stop coordination: the first shard to hit a write
@@ -460,18 +460,32 @@ void publish_recovery_metrics(const RecoverySummary& summary) {
   registry.counter("recovery.spools_reset").add(summary.spools_reset);
 }
 
+/// `stats`' counters in for_each_counter order: a sidecar's counter block.
+std::vector<std::uint64_t> counter_block(const ShardStats& stats) {
+  std::vector<std::uint64_t> block;
+  for_each_counter(
+      [&](std::string_view, std::uint64_t value) { block.push_back(value); },
+      stats);
+  return block;
+}
+
 /// A done shard's sidecar if this run may use it: it exists, passes its
-/// checks and was made at this run's setting of every stream `base` turns
-/// on.  nullopt means the shard is replayed to rebuild it.
+/// checks, holds as many counters as for_each_counter lists, counts the
+/// `records` the MANIFEST keeps and was made at this run's setting of
+/// every stream `base` turns on.  nullopt means the shard is replayed to
+/// rebuild it.
 std::optional<obs::Sidecar> current_sidecar(const std::string& path,
-                                            const TraceSimulationConfig& base) {
+                                            const TraceSimulationConfig& base,
+                                            std::uint64_t records) {
   std::optional<obs::Sidecar> sidecar;
   try {
     sidecar = obs::load_sidecar(path);
   } catch (const std::exception&) {
-    return std::nullopt;  // damaged: rebuilt like a missing one
+    return std::nullopt;  // damaged or older: rebuilt like a missing one
   }
-  if (sidecar && ((base.qtrace.sample_rate > 0.0 &&
+  if (sidecar && (sidecar->events != records ||
+                  sidecar->counters.size() != counter_block({}).size() ||
+                  (base.qtrace.sample_rate > 0.0 &&
                    sidecar->qtrace_rate != base.qtrace.sample_rate) ||
                   (base.timeline.tick_seconds > 0.0 &&
                    sidecar->timeline_tick != base.timeline.tick_seconds))) {
@@ -480,13 +494,15 @@ std::optional<obs::Sidecar> current_sidecar(const std::string& path,
   return sidecar;
 }
 
-/// Writes shard `stats`' qtrace and timeline as its sidecar, recorded at
-/// the settings of `base`; the streams stay in `stats`.
+/// Writes shard `stats`' counters and streams as its sidecar, the streams
+/// recorded at the settings of `base`; the streams stay in `stats`.
 void save_shard_sidecar(const std::string& path,
                         const TraceSimulationConfig& base, ShardStats& stats) {
   obs::Sidecar sidecar;
   sidecar.qtrace_rate = std::max(base.qtrace.sample_rate, 0.0);
   sidecar.timeline_tick = std::max(base.timeline.tick_seconds, 0.0);
+  sidecar.events = stats.events;
+  sidecar.counters = counter_block(stats);
   sidecar.qtrace = std::move(stats.qtrace);
   sidecar.timeline = std::move(stats.timeline);
   obs::save_sidecar(path, sidecar);
@@ -602,8 +618,6 @@ std::vector<std::string> simulate_to_spools(
   }
 
   std::vector<ShardStats> shard_stats(n_shards);
-  const bool streams_on =
-      base.qtrace.sample_rate > 0.0 || base.timeline.tick_seconds > 0.0;
   const double horizon =
       (base.warmup_days + base.duration_days) * sim::kSecondsPerDay;
   std::mutex manifest_mutex;  // guards manifest + summary
@@ -616,41 +630,49 @@ std::vector<std::string> simulate_to_spools(
         horizon);
   }
 
-  util::ThreadPool pool(std::min(n_threads, n_shards));
-  pool.run_indexed(n_shards, [&](std::size_t k) {
+  util::parallel_for(n_shards, n_threads, [&](std::size_t k) {
     const unsigned index = static_cast<unsigned>(k);
     const std::string spool_dir = shard_dir(durability.dir, index);
     const std::string sidecar_path =
         (fs::path(spool_dir) / kShardSidecarName).string();
-    // A done shard is not simulated: the analysis validates its spool
+    // A done shard is not simulated: its record comes from its sidecar
+    // (none when `sidecar` is null), and the analysis validates its spool
     // against the MANIFEST count.
-    const auto load_done_shard = [&] {
-      shard_stats[k].seed = shard_seed(base.seed, index);
-      shard_stats[k].events = *manifest.records[k];
-      mark_shard_done(heartbeat.get(), k, horizon, shard_stats[k].events);
+    const auto load_done_shard = [&](obs::Sidecar* sidecar) {
+      ShardStats& shard = shard_stats[k];
+      shard.seed = shard_seed(base.seed, index);
+      shard.events = *manifest.records[k];
+      if (sidecar != nullptr) {
+        std::size_t i = 0;
+        for_each_counter(
+            [&](std::string_view, std::uint64_t& field) {
+              field = sidecar->counters[i++];
+            },
+            shard);
+        if (base.qtrace.sample_rate > 0.0) {
+          shard.qtrace = std::move(sidecar->qtrace);
+        }
+        if (base.timeline.tick_seconds > 0.0) {
+          shard.timeline = std::move(sidecar->timeline);
+        }
+      }
+      mark_shard_done(heartbeat.get(), k, horizon, shard.events);
       std::lock_guard<std::mutex> lock(manifest_mutex);
       ++summary.checkpoints_loaded;
       ++summary.shards_completed_prior;
     };
 
-    // With a stream on, a done shard's hops and ticks come from its
-    // sidecar; a missing, damaged or stale one drops through to the
-    // simulate path below, which rebuilds it exactly by replaying the
-    // shard (the streams are pure functions of (model, config, shard
-    // seed)).  A done shard whose MANIFEST predates record counts is
-    // replayed the same way, so that it gains one.
+    // A done shard's counters, hops and ticks come from its sidecar; a
+    // missing, damaged or stale one drops through to the simulate path
+    // below, which rebuilds it exactly by replaying the shard (the record
+    // is a pure function of (model, config, shard seed)).  A done shard
+    // whose MANIFEST predates record counts is replayed the same way, so
+    // that it gains one.
     bool rebuilding_sidecar = false;
     if (manifest.done[k] && manifest.records[k]) {
-      std::optional<obs::Sidecar> sidecar;
-      if (streams_on) sidecar = current_sidecar(sidecar_path, base);
-      if (!streams_on || sidecar) {
-        if (base.qtrace.sample_rate > 0.0) {
-          shard_stats[k].qtrace = std::move(sidecar->qtrace);
-        }
-        if (base.timeline.tick_seconds > 0.0) {
-          shard_stats[k].timeline = std::move(sidecar->timeline);
-        }
-        load_done_shard();
+      if (auto sidecar =
+              current_sidecar(sidecar_path, base, *manifest.records[k])) {
+        load_done_shard(&*sidecar);
         return;
       }
       rebuilding_sidecar = true;
@@ -680,10 +702,10 @@ std::vector<std::string> simulate_to_spools(
         if (!(rebuilding_sidecar && durability.salvage)) throw;
         // Done shard, unusable sidecar AND a damaged spool: the replay
         // rebuild is impossible (it digest-verifies against the spool).
-        // The shard contributes no hops or ticks — the spool's loss is
-        // accounted by the salvage-mode analysis — and its sidecar is
-        // left for a later resume to try again.
-        load_done_shard();
+        // The shard contributes no counters, hops or ticks — the spool's
+        // loss is accounted by the salvage-mode analysis — and its sidecar
+        // is left for a later resume to try again.
+        load_done_shard(nullptr);
         return;
       }
       {
@@ -701,9 +723,9 @@ std::vector<std::string> simulate_to_spools(
       simulate_shard(model, base, index, sink, &shard_stats[k]);
       writer->close();  // final fsync: the shard's redo log is complete
       // The sidecar is durable before the MANIFEST marks the shard done,
-      // so a done shard of a run with a stream on has one next to its
-      // spool.  The streams stay in memory for the merge below.
-      if (streams_on) save_shard_sidecar(sidecar_path, base, shard_stats[k]);
+      // so every done shard has one next to its spool.  The streams stay
+      // in memory for the merge below.
+      save_shard_sidecar(sidecar_path, base, shard_stats[k]);
       mark_shard_done(heartbeat.get(), k, horizon, shard_stats[k].events);
 
       std::lock_guard<std::mutex> lock(manifest_mutex);
@@ -726,7 +748,6 @@ std::vector<std::string> simulate_to_spools(
       // to its last sync, which is all a clean stop promises.
     }
   });
-  util::publish_pool_stats("pool.sim", pool.stats());
   obs::Registry::global().counter("sim.shards_run").add(n_shards);
   if (heartbeat != nullptr) heartbeat->stop();  // final (completed) beat
 
@@ -756,7 +777,7 @@ std::vector<std::string> simulate_to_spools(
         "checkpoint: run stopped cleanly (" + reason + "): " + detail, reason);
   }
 
-  merge_and_publish_streams(base, shard_stats, qtrace, timeline);
+  publish_shards(base, shard_stats, qtrace, timeline);
   publish_recovery_metrics(summary);
   if (summary_out != nullptr) *summary_out = summary;
   if (stats != nullptr) *stats = std::move(shard_stats);

@@ -21,10 +21,12 @@
 // frame) is truncated by the recovery scan; at most that one record is
 // re-written by replay, never lost.
 //
-// The spools hold the trace, not the observational streams: a finished
-// shard's sampled query hops and timeline ticks live in its sidecar,
-// which only this module reads and writes.  The producer returns the
-// merged streams itself, so the analysis never sees a sidecar.
+// The spools hold the trace and nothing else: a finished shard's
+// counters, sampled query hops and timeline ticks live in its sidecar,
+// which only this module reads and writes.  The producer publishes the
+// counters and returns the merged streams itself, so a resume reports
+// what the uninterrupted run reported and the analysis never sees a
+// sidecar.
 //
 // simulate_to_spools() is the one producer; analysis::analyze_spools()
 // is the one analysis of a checkpoint, and load_checkpoint() the small
@@ -97,8 +99,9 @@ struct RecoverySummary {
   std::uint64_t checkpoints_written = 0; ///< durable sync points persisted
   std::uint64_t checkpoints_loaded = 0;  ///< shards with recovered state
   std::uint64_t shards_completed_prior = 0;  ///< finished before this run
-  /// Done shards replayed because their sidecar was missing, damaged or
-  /// made at another qtrace rate or timeline tick.
+  /// Done shards replayed because their sidecar was missing, damaged,
+  /// older, at odds with the MANIFEST count or made at another qtrace
+  /// rate or timeline tick.
   std::uint64_t sidecars_rebuilt = 0;
   std::uint64_t spools_reset = 0;  ///< damaged unfinished spools truncated
 };
@@ -155,26 +158,27 @@ bool checkpoint_exists(const std::string& dir);
 /// MANIFEST with their record counts, so a killed run resumes instead of
 /// restarting.  NO trace is materialized in memory — peak RSS stays
 /// O(one shard's live simulation), not O(trace).  Shards already marked
-/// done are not even re-read; their `stats` entry carries only the seed
-/// and the MANIFEST record count in `events`, which the caller hands to
-/// analysis::analyze_spools (StreamingOptions::shard_records) so a done
-/// spool that reads back a different count is refused.  Returns the
+/// done are not even re-read; their `stats` entry is the record their
+/// sidecar keeps, with the MANIFEST record count in `events`, which the
+/// caller hands to analysis::analyze_spools
+/// (StreamingOptions::shard_records) so a done spool that reads back a
+/// different count is refused.  Returns the
 /// per-shard spool directories in shard order (what analyze_spools
 /// expects).  Publishes "recovery.*" counters to the obs registry.
 /// Throws std::runtime_error when `durability.resume` is set but no
 /// checkpoint exists, or when the existing checkpoint's identity does not
 /// match (model/config/shards), and CheckpointStopped on a clean stop.
 ///
-/// The merged qtrace and timeline are published and returned through
-/// `qtrace` / `timeline` exactly as simulate_trace_sharded does, for any
-/// resume history.  With a stream on (base.qtrace.sample_rate > 0 or
-/// base.timeline.tick_seconds > 0), each shard's hops and ticks are
-/// written to its sidecar (kShardSidecarName, obs/sidecar.hpp) before the
-/// MANIFEST marks it done.  A done shard's sidecar is used only if it
-/// exists, passes its CRC and was made at this run's setting of every
-/// stream that is on; otherwise the shard is replayed and the sidecar
-/// rebuilt (RecoverySummary::sidecars_rebuilt).  A stream that is off is
-/// neither read nor published.
+/// The shards' summed counters and the merged qtrace and timeline are
+/// published (publish_shards), and the streams returned through `qtrace`
+/// / `timeline`, exactly as simulate_trace_sharded does, for any resume
+/// history.  Each shard's counters, hops and ticks are written to its
+/// sidecar (kShardSidecarName, obs/sidecar.hpp) before the MANIFEST marks
+/// it done.  A done shard's sidecar is used only if it exists, passes its
+/// CRC, is of this version, counts the MANIFEST's records and was made at
+/// this run's setting of every stream that is on; otherwise the shard is
+/// replayed and the sidecar rebuilt (RecoverySummary::sidecars_rebuilt).
+/// A stream that is off is neither read nor published.
 std::vector<std::string> simulate_to_spools(
     const core::WorkloadModel& model, const TraceSimulationConfig& base,
     unsigned n_shards, unsigned n_threads, const DurabilityConfig& durability,

@@ -1,11 +1,10 @@
 #include "behavior/sharded_simulation.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace p2pgen::behavior {
 namespace {
@@ -25,6 +24,11 @@ void fill_stats(ShardStats& stats, TraceSimulation& simulation,
   stats.outage_crashes = simulation.outage_crashes();
   stats.outage_crashes_by_region = simulation.outage_crashes_by_region();
   const MeasurementNode& node = simulation.node();
+  stats.messages_recorded = node.messages_recorded();
+  stats.rejected_connections = node.rejected_connections();
+  stats.duplicate_messages = node.duplicate_messages();
+  stats.forwarded_messages = node.forwarded_messages();
+  stats.qrp_suppressed = node.qrp_suppressed();
   stats.decode_errors = node.decode_errors();
   stats.clean_bytes_before_error = node.clean_bytes_before_error();
   stats.forward_retries = node.forward_retries();
@@ -35,6 +39,7 @@ void fill_stats(ShardStats& stats, TraceSimulation& simulation,
   stats.replenish_scheduled = node.replenish_scheduled();
   stats.replenish_spawns = node.replenish_spawns();
   stats.session_ends = node.session_ends();
+  stats.replenish_by_reason = node.replenish_by_reason();
   stats.qtrace = simulation.take_qtrace();
   stats.timeline = simulation.take_timeline();
 }
@@ -66,7 +71,6 @@ void simulate_shard(const core::WorkloadModel& model,
 
   TraceSimulation simulation(model, config, counting);
   simulation.run();
-  simulation.publish_metrics();
 
   if (stats != nullptr) {
     fill_stats(*stats, simulation, config.seed, counting.events);
@@ -76,41 +80,32 @@ void simulate_shard(const core::WorkloadModel& model,
 ShardStats sum_shard_stats(const std::vector<ShardStats>& shards) {
   ShardStats sum;
   for (const ShardStats& s : shards) {
-    sum.peers_spawned += s.peers_spawned;
     sum.events += s.events;
-    sum.faults.messages_lost += s.faults.messages_lost;
-    sum.faults.messages_corrupted += s.faults.messages_corrupted;
-    sum.faults.messages_duplicated += s.faults.messages_duplicated;
-    sum.faults.messages_delayed += s.faults.messages_delayed;
-    sum.faults.node_crashes += s.faults.node_crashes;
-    sum.faults.half_open_links += s.faults.half_open_links;
-    sum.faults.sends_into_dead_link += s.faults.sends_into_dead_link;
-    sum.transport_delivered += s.transport_delivered;
-    sum.transport_dropped += s.transport_dropped;
-    sum.decode_errors += s.decode_errors;
-    sum.clean_bytes_before_error += s.clean_bytes_before_error;
-    sum.forward_retries += s.forward_retries;
-    sum.forward_retries_exhausted += s.forward_retries_exhausted;
-    sum.outage_crashes += s.outage_crashes;
-    for (std::size_t r = 0; r < geo::kRegionCount; ++r) {
-      sum.outage_crashes_by_region[r] += s.outage_crashes_by_region[r];
-    }
-    sum.shed_connections += s.shed_connections;
-    sum.shed_queries += s.shed_queries;
-    sum.probe_closed_sessions += s.probe_closed_sessions;
-    sum.replenish_scheduled += s.replenish_scheduled;
-    sum.replenish_spawns += s.replenish_spawns;
-    for (std::size_t r = 0; r < sum.session_ends.size(); ++r) {
-      sum.session_ends[r] += s.session_ends[r];
-    }
+    for_each_counter(
+        [](std::string_view, std::uint64_t& total, std::uint64_t value) {
+          total += value;
+        },
+        sum, s);
   }
   return sum;
 }
 
-void merge_and_publish_streams(const TraceSimulationConfig& base,
-                               std::vector<ShardStats>& stats,
-                               std::vector<obs::QueryHopEvent>* qtrace,
-                               std::vector<obs::TimelinePoint>* timeline) {
+void publish_shards(const TraceSimulationConfig& base,
+                    std::vector<ShardStats>& stats,
+                    std::vector<obs::QueryHopEvent>* qtrace,
+                    std::vector<obs::TimelinePoint>* timeline) {
+  auto& registry = obs::Registry::global();
+  if (registry.enabled()) {
+    const ShardStats totals = sum_shard_stats(stats);
+    for_each_counter(
+        [&](std::string_view name, std::uint64_t value) {
+          // A region's outage counter exists once an outage crashed a
+          // peer there.
+          if (value == 0 && name.starts_with(kOutageRegionPrefix)) return;
+          registry.counter(name).add(value);
+        },
+        totals);
+  }
   if (base.qtrace.sample_rate > 0.0) {
     std::vector<std::vector<obs::QueryHopEvent>> per_shard;
     for (ShardStats& s : stats) per_shard.push_back(std::move(s.qtrace));
@@ -142,17 +137,15 @@ trace::Trace simulate_trace_sharded(const core::WorkloadModel& model,
   std::vector<ShardStats> shard_stats(n_shards);
 
   // Shards are fully independent (disjoint RNG streams, own simulator,
-  // own trace buffer), so the pool may run them in any order; the merge
-  // below is what pins the output ordering.
-  util::ThreadPool pool(std::min(n_threads, n_shards));
-  pool.run_indexed(n_shards, [&](std::size_t k) {
+  // own trace buffer), so they may run in any order; the merge below is
+  // what pins the output ordering.
+  util::parallel_for(n_shards, n_threads, [&](std::size_t k) {
     simulate_shard(model, base, static_cast<unsigned>(k), shards[k],
                    &shard_stats[k]);
   });
-  util::publish_pool_stats("pool.sim", pool.stats());
   obs::Registry::global().counter("sim.shards_run").add(n_shards);
 
-  merge_and_publish_streams(base, shard_stats, qtrace, timeline);
+  publish_shards(base, shard_stats, qtrace, timeline);
   if (stats != nullptr) *stats = std::move(shard_stats);
   trace::Trace merged;
   {

@@ -23,6 +23,8 @@
 #pragma once
 
 #include <array>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "behavior/trace_simulation.hpp"
@@ -32,17 +34,25 @@
 
 namespace p2pgen::behavior {
 
-/// Post-run statistics of one shard.
+/// Post-run record of one shard: its identity, every counter it
+/// publishes (for_each_counter) and its observational streams.  The one
+/// form in which a shard's numbers leave the simulation; a resumed done
+/// shard reads the same record back from its sidecar.
 struct ShardStats {
   std::uint64_t seed = 0;           ///< the shard's derived master seed
   std::uint64_t peers_spawned = 0;  ///< peers the shard's overlay produced
   std::uint64_t events = 0;         ///< trace events the shard emitted
   sim::FaultCounters faults{};      ///< the shard's fault-layer counters
 
-  // Transport totals and measurement-node hardening counters — the
-  // transport and node rows of analysis::RobustnessReport.
+  // Transport totals and measurement-node counters — the transport and
+  // node rows of analysis::RobustnessReport among them.
   std::uint64_t transport_delivered = 0;
   std::uint64_t transport_dropped = 0;
+  std::uint64_t messages_recorded = 0;
+  std::uint64_t rejected_connections = 0;
+  std::uint64_t duplicate_messages = 0;
+  std::uint64_t forwarded_messages = 0;
+  std::uint64_t qrp_suppressed = 0;
   std::uint64_t decode_errors = 0;
   std::uint64_t clean_bytes_before_error = 0;
   std::uint64_t forward_retries = 0;
@@ -60,6 +70,8 @@ struct ShardStats {
   std::uint64_t replenish_spawns = 0;       ///< replacement peers requested
   /// SessionEnd histogram by trace::EndReason value.
   std::array<std::uint64_t, 4> session_ends{};
+  /// Healing timers armed, by the trace::EndReason that lost the link.
+  std::array<std::uint64_t, 4> replenish_by_reason{};
 
   /// The shard's query-lifecycle hop events (empty when qtrace sampling
   /// is off).  Time-ordered within the shard; obs::merge_qtrace pins the
@@ -71,6 +83,63 @@ struct ShardStats {
   /// cross-shard order.
   std::vector<obs::TimelinePoint> timeline;
 };
+
+/// Name prefix of the per-region outage counters, which are published
+/// only when nonzero.
+inline constexpr std::string_view kOutageRegionPrefix =
+    "scenario.outage_crashes.";
+
+/// The one list of a shard's counters: calls visit(name, stats.field...)
+/// once per counter, in a fixed order, passing the same field of every
+/// `stats` argument.  It drives the sum over shards, the publishing under
+/// the registry names and the sidecar's counter block.  seed, events and
+/// the streams are not counters.
+template <typename Visit, typename... Stats>
+void for_each_counter(Visit&& visit, Stats&... stats) {
+  // Indexed by trace::EndReason value.
+  static constexpr std::array<std::string_view, 4> kSessionEnds = {
+      "node.session_end.bye", "node.session_end.idle_probe",
+      "node.session_end.teardown", "node.session_end.error"};
+  static constexpr std::array<std::string_view, 4> kReplenishes = {
+      "recovery.replenish.bye", "recovery.replenish.idle_probe",
+      "recovery.replenish.teardown", "recovery.replenish.error"};
+  visit("sim.peers_spawned", stats.peers_spawned...);
+  visit("transport.messages_delivered", stats.transport_delivered...);
+  visit("transport.messages_dropped", stats.transport_dropped...);
+  visit("node.messages_recorded", stats.messages_recorded...);
+  visit("node.rejected_connections", stats.rejected_connections...);
+  visit("node.duplicate_messages", stats.duplicate_messages...);
+  visit("node.forwarded_messages", stats.forwarded_messages...);
+  visit("node.qrp_suppressed", stats.qrp_suppressed...);
+  visit("node.decode_errors", stats.decode_errors...);
+  visit("node.clean_bytes_before_error", stats.clean_bytes_before_error...);
+  visit("node.forward_retries", stats.forward_retries...);
+  visit("node.forward_retries_exhausted",
+        stats.forward_retries_exhausted...);
+  visit("node.probe_closed_sessions", stats.probe_closed_sessions...);
+  visit("node.shed.connections", stats.shed_connections...);
+  visit("node.shed.queries", stats.shed_queries...);
+  visit("fault.messages_lost", stats.faults.messages_lost...);
+  visit("fault.messages_corrupted", stats.faults.messages_corrupted...);
+  visit("fault.messages_duplicated", stats.faults.messages_duplicated...);
+  visit("fault.messages_delayed", stats.faults.messages_delayed...);
+  visit("fault.node_crashes", stats.faults.node_crashes...);
+  visit("fault.half_open_links", stats.faults.half_open_links...);
+  visit("fault.sends_into_dead_link", stats.faults.sends_into_dead_link...);
+  visit("recovery.replenish.scheduled", stats.replenish_scheduled...);
+  visit("recovery.replenish.spawns", stats.replenish_spawns...);
+  visit("scenario.outage_crashes", stats.outage_crashes...);
+  for (std::size_t i = 0; i < kSessionEnds.size(); ++i) {
+    visit(kSessionEnds[i], stats.session_ends[i]...);
+    visit(kReplenishes[i], stats.replenish_by_reason[i]...);
+  }
+  for (const geo::Region region : geo::kAllRegions) {
+    const std::string name =
+        std::string(kOutageRegionPrefix).append(geo::region_name(region));
+    visit(std::string_view(name),
+          stats.outage_crashes_by_region[geo::region_index(region)]...);
+  }
+}
 
 /// Seed of shard `shard_index` under `master_seed`.  Every shard —
 /// including shard 0 — gets a derived seed, so the set of shard streams
@@ -88,28 +157,31 @@ void simulate_shard(const core::WorkloadModel& model,
                     const TraceSimulationConfig& base, unsigned shard_index,
                     trace::TraceSink& sink, ShardStats* stats = nullptr);
 
-/// Counter-wise sum of `shards`: every counter of the result is the sum
-/// over the shards; seed, qtrace and timeline are left empty.
+/// Counter-wise sum of `shards`: events and every counter of the result
+/// are the sums over the shards; seed, qtrace and timeline are left empty.
 ShardStats sum_shard_stats(const std::vector<ShardStats>& shards);
 
-/// Merges the shards' qtrace and timeline buffers in (time, shard) order
-/// (obs::merge_qtrace, obs::merge_timeline), moving them out of `stats`,
-/// and publishes each merged stream's aggregates once — each stream only
-/// when `base` turns it on, so an off stream is neither merged nor
+/// Publishes the shards' summed counters under their registry names
+/// (for_each_counter; a per-region outage counter only when nonzero),
+/// then merges the shards' qtrace and timeline buffers in (time, shard)
+/// order (obs::merge_qtrace, obs::merge_timeline), moving them out of
+/// `stats`, and publishes each merged stream's aggregates — each stream
+/// only when `base` turns it on, so an off stream is neither merged nor
 /// published.  Pass `qtrace` / `timeline` to receive the merged streams.
-/// The one merge of both producers, simulate_trace_sharded and
-/// simulate_to_spools, so their streams and metrics are the same.
-void merge_and_publish_streams(const TraceSimulationConfig& base,
-                               std::vector<ShardStats>& stats,
-                               std::vector<obs::QueryHopEvent>* qtrace,
-                               std::vector<obs::TimelinePoint>* timeline);
+/// The one publication of both producers, simulate_trace_sharded and
+/// simulate_to_spools, so their counters, streams and metrics are the
+/// same for any resume history.
+void publish_shards(const TraceSimulationConfig& base,
+                    std::vector<ShardStats>& stats,
+                    std::vector<obs::QueryHopEvent>* qtrace,
+                    std::vector<obs::TimelinePoint>* timeline);
 
 /// Runs `n_shards` replica shards on up to `n_threads` threads and merges
 /// their traces (see file comment for the determinism contract).  Each
 /// shard simulates the full base.duration_days window.  When `stats` is
 /// non-null it receives one entry per shard, in shard order.  The shards'
-/// qtrace and timeline buffers go through merge_and_publish_streams, so
-/// ShardStats.qtrace / .timeline come back empty; pass `qtrace` /
+/// records go through publish_shards, so ShardStats.qtrace / .timeline
+/// come back empty; pass `qtrace` /
 /// `timeline` to receive the merged streams.
 trace::Trace simulate_trace_sharded(
     const core::WorkloadModel& model, const TraceSimulationConfig& base,

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "util/fnv1a.hpp"
 
 namespace p2pgen::behavior {
@@ -319,62 +318,6 @@ void TraceSimulation::spawn_peer(const ClientPopulation& clients) {
   const sim::NodeId id = peer->id();
   peers_.emplace_hint(peers_.end(), id, LivePeer{std::move(peer), region});
   ++peers_spawned_;
-}
-
-void TraceSimulation::publish_metrics() const {
-  auto& registry = obs::Registry::global();
-  if (!registry.enabled()) return;
-  registry.counter("sim.peers_spawned").add(peers_spawned_);
-  registry.counter("node.messages_recorded").add(node_.messages_recorded());
-  registry.counter("node.rejected_connections")
-      .add(node_.rejected_connections());
-  registry.counter("node.duplicate_messages").add(node_.duplicate_messages());
-  registry.counter("node.forwarded_messages").add(node_.forwarded_messages());
-  registry.counter("node.qrp_suppressed").add(node_.qrp_suppressed());
-  registry.counter("node.decode_errors").add(node_.decode_errors());
-  registry.counter("node.clean_bytes_before_error")
-      .add(node_.clean_bytes_before_error());
-  registry.counter("node.probe_closed_sessions")
-      .add(node_.probe_closed_sessions());
-  registry.counter("node.forward_retries").add(node_.forward_retries());
-  registry.counter("node.forward_retries_exhausted")
-      .add(node_.forward_retries_exhausted());
-  const auto& ends = node_.session_ends();
-  registry.counter("node.session_end.bye")
-      .add(ends[static_cast<std::size_t>(trace::EndReason::kBye)]);
-  registry.counter("node.session_end.idle_probe")
-      .add(ends[static_cast<std::size_t>(trace::EndReason::kIdleProbe)]);
-  registry.counter("node.session_end.teardown")
-      .add(ends[static_cast<std::size_t>(trace::EndReason::kTeardown)]);
-  registry.counter("node.session_end.error")
-      .add(ends[static_cast<std::size_t>(trace::EndReason::kError)]);
-  registry.counter("transport.messages_delivered")
-      .add(net_.messages_delivered());
-  registry.counter("transport.messages_dropped").add(net_.messages_dropped());
-  sim::publish_fault_metrics(fault_injector_.counters());
-  const auto& repl = node_.replenish_by_reason();
-  registry.counter("recovery.replenish.bye")
-      .add(repl[static_cast<std::size_t>(trace::EndReason::kBye)]);
-  registry.counter("recovery.replenish.idle_probe")
-      .add(repl[static_cast<std::size_t>(trace::EndReason::kIdleProbe)]);
-  registry.counter("recovery.replenish.teardown")
-      .add(repl[static_cast<std::size_t>(trace::EndReason::kTeardown)]);
-  registry.counter("recovery.replenish.error")
-      .add(repl[static_cast<std::size_t>(trace::EndReason::kError)]);
-  registry.counter("recovery.replenish.scheduled")
-      .add(node_.replenish_scheduled());
-  registry.counter("recovery.replenish.spawns").add(node_.replenish_spawns());
-  registry.counter("node.shed.connections").add(node_.shed_connections());
-  registry.counter("node.shed.queries").add(node_.shed_queries());
-  registry.counter("scenario.outage_crashes").add(outage_crashes_);
-  for (geo::Region r : geo::kAllRegions) {
-    const auto i = geo::region_index(r);
-    if (outage_crashes_by_region_[i] == 0) continue;
-    registry
-        .counter(std::string("scenario.outage_crashes.") +
-                 std::string(geo::region_name(r)))
-        .add(outage_crashes_by_region_[i]);
-  }
 }
 
 void TraceSimulation::run() {

@@ -148,12 +148,6 @@ class TraceSimulation {
     return outage_crashes_by_region_;
   }
 
-  /// Adds this run's node, transport and fault counters to the global obs
-  /// registry ("node.*", "transport.*", "fault.*", "sim.peers_spawned").
-  /// Call once after run(); the totals are pure functions of the run, so
-  /// summing them over shards is deterministic for any thread count.
-  void publish_metrics() const;
-
   /// The query-lifecycle tracer, or nullptr when sample_rate == 0.
   const obs::QueryTracer* query_tracer() const noexcept {
     return qtracer_.get();

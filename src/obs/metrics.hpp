@@ -1,8 +1,8 @@
 // p2pgen — metrics registry (observability layer, DESIGN.md §8).
 //
 // Named counters, gauges and fixed-bucket histograms for every layer of
-// the pipeline (simulation, measurement node, fault injector, thread
-// pool, analysis passes).  Design constraints, in order:
+// the pipeline (simulation, measurement node, fault injector, analysis
+// passes).  Design constraints, in order:
 //
 //   1. *Strictly observational.*  Metrics never feed back into
 //      simulation or analysis state: a registry records what happened,
@@ -19,11 +19,9 @@
 //      branch; no TLS lookup, no store.  Binaries that never ask for a
 //      snapshot pay nothing on the paths they exercise.
 //
-// Deterministic counters (simulation / analysis totals) are identical
-// for any thread count because the *work* is deterministic; scheduler
-// counters (pool steals, per-worker executed) are intentionally not —
-// they describe the actual schedule.  The split is by name prefix:
-// everything under "pool." is schedule-dependent, the rest is not.
+// Every counter is a simulation or analysis total, identical for any
+// thread count because the *work* is deterministic; no counter describes
+// the schedule.  Gauges may (queue depths, peak RSS).
 #pragma once
 
 #include <atomic>

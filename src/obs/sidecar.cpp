@@ -1,5 +1,6 @@
 #include "obs/sidecar.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -14,8 +15,9 @@ namespace p2pgen::obs {
 namespace {
 
 constexpr char kMagic[4] = {'p', '2', 's', 'c'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 48;
+constexpr std::uint32_t kVersion = 2;  // 2: the counter block and events
+constexpr std::size_t kHeaderBytes = 56;
+constexpr std::size_t kCounterBytes = 8;
 constexpr std::size_t kCrcBytes = 4;
 
 std::runtime_error damaged(const std::string& path, const std::string& what) {
@@ -25,7 +27,7 @@ std::runtime_error damaged(const std::string& path, const std::string& what) {
 }  // namespace
 
 void save_sidecar(const std::string& path, const Sidecar& sidecar) {
-  std::string bytes(kHeaderBytes +
+  std::string bytes(kHeaderBytes + sidecar.counters.size() * kCounterBytes +
                         sidecar.qtrace.size() * kQueryHopRecordBytes +
                         sidecar.timeline.size() * kTimelinePointRecordBytes +
                         kCrcBytes,
@@ -37,10 +39,16 @@ void save_sidecar(const std::string& path, const Sidecar& sidecar) {
   util::store_le64(out + 16,
                    std::bit_cast<std::uint64_t>(sidecar.timeline_tick));
   util::store_le32(out + 24, static_cast<std::uint32_t>(kTimelineSeriesCount));
-  util::store_le32(out + 28, 0);
+  util::store_le32(out + 28,
+                   static_cast<std::uint32_t>(sidecar.counters.size()));
   util::store_le64(out + 32, sidecar.qtrace.size());
   util::store_le64(out + 40, sidecar.timeline.size());
+  util::store_le64(out + 48, sidecar.events);
   unsigned char* record = out + kHeaderBytes;
+  for (const std::uint64_t value : sidecar.counters) {
+    util::store_le64(record, value);
+    record += kCounterBytes;
+  }
   for (const QueryHopEvent& event : sidecar.qtrace) {
     encode_query_hop(record, event);
     record += kQueryHopRecordBytes;
@@ -79,10 +87,13 @@ std::optional<Sidecar> load_sidecar(const std::string& path) {
   }
   // The counts must account for every byte before anything is sized by
   // them: a damaged count is refused here, not allocated.
+  const std::uint64_t counters = util::load_le32(in + 28);
   const std::uint64_t hops = util::load_le64(in + 32);
   const std::uint64_t points = util::load_le64(in + 40);
-  const std::uint64_t body = size - kHeaderBytes - kCrcBytes;
-  if (hops > body / kQueryHopRecordBytes ||
+  const std::uint64_t counter_bytes = counters * kCounterBytes;
+  const std::uint64_t all = size - kHeaderBytes - kCrcBytes;
+  const std::uint64_t body = all - std::min(all, counter_bytes);
+  if (counter_bytes > all || hops > body / kQueryHopRecordBytes ||
       points != (body - hops * kQueryHopRecordBytes) /
                     kTimelinePointRecordBytes ||
       (body - hops * kQueryHopRecordBytes) % kTimelinePointRecordBytes != 0) {
@@ -96,9 +107,14 @@ std::optional<Sidecar> load_sidecar(const std::string& path) {
   Sidecar sidecar;
   sidecar.qtrace_rate = std::bit_cast<double>(util::load_le64(in + 8));
   sidecar.timeline_tick = std::bit_cast<double>(util::load_le64(in + 16));
+  sidecar.events = util::load_le64(in + 48);
+  sidecar.counters.reserve(counters);
   sidecar.qtrace.reserve(hops);
   sidecar.timeline.reserve(points);
   const unsigned char* record = in + kHeaderBytes;
+  for (std::uint64_t i = 0; i < counters; ++i, record += kCounterBytes) {
+    sidecar.counters.push_back(util::load_le64(record));
+  }
   for (std::uint64_t i = 0; i < hops; ++i, record += kQueryHopRecordBytes) {
     sidecar.qtrace.push_back(decode_query_hop(record));
   }

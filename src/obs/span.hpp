@@ -2,7 +2,7 @@
 //
 // RAII wall-clock timers around pipeline phases: per-shard trace
 // simulation, trace merge, the individual filter rules, session
-// measures, Appendix fits, ECDF builds, and thread-pool drain loops.
+// measures, Appendix fits and ECDF builds.
 // Completed spans are collected by a TraceLog and exported two ways:
 //
 //   * chrome://tracing / Perfetto JSON (write_chrome_json) — load the

@@ -2,22 +2,7 @@
 
 #include <bit>
 
-#include "obs/metrics.hpp"
-
 namespace p2pgen::sim {
-
-void publish_fault_metrics(const FaultCounters& counters) {
-  auto& registry = obs::Registry::global();
-  registry.counter("fault.messages_lost").add(counters.messages_lost);
-  registry.counter("fault.messages_corrupted").add(counters.messages_corrupted);
-  registry.counter("fault.messages_duplicated")
-      .add(counters.messages_duplicated);
-  registry.counter("fault.messages_delayed").add(counters.messages_delayed);
-  registry.counter("fault.node_crashes").add(counters.node_crashes);
-  registry.counter("fault.half_open_links").add(counters.half_open_links);
-  registry.counter("fault.sends_into_dead_link")
-      .add(counters.sends_into_dead_link);
-}
 
 std::uint64_t fault_config_digest(const FaultConfig& config) noexcept {
   std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a

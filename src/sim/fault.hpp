@@ -70,12 +70,6 @@ struct FaultCounters {
   std::uint64_t sends_into_dead_link = 0; ///< sends swallowed by crash/half-open
 };
 
-/// Adds a run's fault counters to the global obs registry under
-/// "fault.messages_lost", "fault.messages_corrupted", … (one counter per
-/// FaultCounters field).  Observational only — reading the registry never
-/// feeds back into simulation state.
-void publish_fault_metrics(const FaultCounters& counters);
-
 /// Per-connection fault schedule, sampled once at connect time.
 struct LinkFaultPlan {
   double crash_at = -1.0;      ///< absolute sim time of the crash; < 0: never

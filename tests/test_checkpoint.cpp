@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -25,10 +26,12 @@
 #include "geo/geoip.hpp"
 #include "obs/metrics.hpp"
 #include "obs/qtrace.hpp"
+#include "obs/sidecar.hpp"
 #include "obs/timeline.hpp"
 #include "stats/rng.hpp"
 #include "trace/spool_reader.hpp"
 #include "trace/trace_io.hpp"
+#include "util/crc32.hpp"
 
 #if defined(__unix__)
 #include <signal.h>
@@ -758,6 +761,122 @@ TEST(CheckpointSidecar, ResumeWithBothStreamsOffPublishesNothing) {
   }
   EXPECT_EQ(summary.sidecars_rebuilt, 0u);
   EXPECT_EQ(summary.shards_completed_prior, 2u);
+  fs::remove_all(dir);
+}
+
+/// Every nonzero counter of `snapshot`, by name (a reset registry keeps
+/// the names it has seen, at 0).
+std::map<std::string, std::uint64_t> counters_of(
+    const obs::MetricsSnapshot& snapshot) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& c : snapshot.counters) {
+    if (c.value != 0) out[c.name] = c.value;
+  }
+  return out;
+}
+
+TEST(CheckpointSidecar, PlainResumePublishesTheInMemoryRunsCounters) {
+  auto& registry = obs::Registry::global();
+  registry.set_enabled(true);
+  const auto model = core::WorkloadModel::paper_default();
+  for (const auto& config : {tiny_fault_config(), sidecar_config()}) {
+    registry.reset();
+    std::vector<behavior::ShardStats> in_memory;
+    behavior::simulate_trace_sharded(model, config, 2, 2, &in_memory);
+    auto want = counters_of(registry.snapshot());
+    // The in-memory merge counts the merged trace; with a checkpoint the
+    // streaming analysis does.
+    ASSERT_EQ(want.erase("sim.merged_events"), 1u);
+    ASSERT_GT(want.at("fault.messages_lost"), 0u);
+
+    const std::string dir = fresh_dir("resume_counters");
+    behavior::DurabilityConfig durability;
+    durability.dir = dir;
+    behavior::simulate_to_spools(model, config, 2, 2, durability);
+    durability.resume = true;
+    registry.reset();
+    behavior::RecoverySummary summary;
+    std::vector<behavior::ShardStats> resumed;
+    behavior::simulate_to_spools(model, config, 2, 2, durability, &summary,
+                                 &resumed);
+    EXPECT_EQ(summary.shards_completed_prior, 2u);
+    EXPECT_EQ(summary.events_replayed, 0u);
+
+    // Every counter of the run, at its value; beyond them the resume
+    // publishes only its own recovery summary.
+    auto got = counters_of(registry.snapshot());
+    std::erase_if(got, [&](const auto& entry) {
+      if (want.contains(entry.first)) return false;
+      EXPECT_EQ(entry.first.rfind("recovery.", 0), 0u) << entry.first;
+      return true;
+    });
+    EXPECT_EQ(got, want);
+
+    // The shard records behind the robustness rows agree field by field.
+    const behavior::ShardStats a = behavior::sum_shard_stats(in_memory);
+    const behavior::ShardStats b = behavior::sum_shard_stats(resumed);
+    EXPECT_EQ(a.events, b.events);
+    behavior::for_each_counter(
+        [](std::string_view name, std::uint64_t x, std::uint64_t y) {
+          EXPECT_EQ(x, y) << name;
+        },
+        a, b);
+    fs::remove_all(dir);
+  }
+}
+
+TEST(CheckpointSidecar, OlderOrMiscountedSidecarIsRebuilt) {
+  const auto model = core::WorkloadModel::paper_default();
+  const auto config = tiny_fault_config();
+  const std::string dir = fresh_dir("sidecar_older");
+  behavior::DurabilityConfig durability;
+  durability.dir = dir;
+  const trace::Trace first = durable_run(model, config, 2, 2, durability);
+  const std::string path = sidecar_path(dir, 2, 0);
+  const std::vector<char> original = read_bytes(path);
+  const auto write_bytes = [&](std::vector<char> bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+
+  // A sidecar of version 1 (CRC re-sealed, so only the version tells),
+  // one that counts other records than the MANIFEST and one with another
+  // counter list are each stale: the shard is replayed, the sidecar
+  // rewritten as it was.
+  const std::vector<std::function<void()>> forgeries = {
+      [&] {
+        std::vector<char> bytes = original;
+        bytes[4] = 1;
+        const std::uint32_t crc =
+            util::crc32(bytes.data() + 4, bytes.size() - 8);
+        for (int b = 0; b < 4; ++b) {
+          bytes[bytes.size() - 4 + b] = static_cast<char>(crc >> (8 * b));
+        }
+        write_bytes(bytes);
+      },
+      [&] {
+        obs::Sidecar sidecar = *obs::load_sidecar(path);
+        ++sidecar.events;
+        obs::save_sidecar(path, sidecar);
+      },
+      [&] {
+        obs::Sidecar sidecar = *obs::load_sidecar(path);
+        sidecar.counters.pop_back();
+        obs::save_sidecar(path, sidecar);
+      }};
+  durability.resume = true;
+  for (std::size_t i = 0; i < forgeries.size(); ++i) {
+    SCOPED_TRACE("forgery " + std::to_string(i));
+    forgeries[i]();
+    ASSERT_NE(read_bytes(path), original);
+    behavior::RecoverySummary summary;
+    const trace::Trace again =
+        durable_run(model, config, 2, 2, durability, &summary);
+    EXPECT_EQ(serialize(again), serialize(first));
+    EXPECT_EQ(summary.sidecars_rebuilt, 1u);
+    EXPECT_EQ(summary.shards_completed_prior, 1u);
+    EXPECT_EQ(read_bytes(path), original);
+  }
   fs::remove_all(dir);
 }
 

@@ -3,8 +3,7 @@
 // multi-threaded sums), span tracing, and — the load-bearing contract —
 // that instrumentation never perturbs results: the sharded simulation
 // stays byte-identical at 1/2/8 threads with metrics on, and every
-// deterministic (non-"pool.") counter total is identical for any thread
-// count.
+// counter total is identical for any thread count.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -311,14 +310,11 @@ std::string serialize(const trace::Trace& trace) {
   return os.str();
 }
 
-/// All counters except the intentionally schedule-dependent "pool." ones.
-std::map<std::string, std::uint64_t> deterministic_counters(
+/// Every counter of `snapshot`, by name.
+std::map<std::string, std::uint64_t> all_counters(
     const obs::MetricsSnapshot& snapshot) {
   std::map<std::string, std::uint64_t> out;
-  for (const auto& c : snapshot.counters) {
-    if (c.name.rfind("pool.", 0) == 0) continue;
-    out[c.name] = c.value;
-  }
+  for (const auto& c : snapshot.counters) out[c.name] = c.value;
   return out;
 }
 
@@ -335,15 +331,19 @@ TEST(ObsContract, InstrumentedShardedRunsAreByteIdenticalAcrossThreads) {
     const trace::Trace trace =
         behavior::simulate_trace_sharded(model, config, 3, threads);
     bytes.push_back(serialize(trace));
-    counters.push_back(deterministic_counters(registry.snapshot()));
+    counters.push_back(all_counters(registry.snapshot()));
   }
   ASSERT_FALSE(bytes[0].empty());
   EXPECT_EQ(bytes[0], bytes[1]);
   EXPECT_EQ(bytes[0], bytes[2]);
-  // Same work => same deterministic counter totals, name for name.
+  // Same work => same counter totals, name for name: no counter describes
+  // the schedule.
   EXPECT_FALSE(counters[0].empty());
   EXPECT_EQ(counters[0], counters[1]);
   EXPECT_EQ(counters[0], counters[2]);
+  for (const auto& [name, value] : counters[0]) {
+    EXPECT_NE(name.rfind("pool.", 0), 0u) << name;
+  }
 }
 
 TEST(ObsContract, FaultCountersMatchShardStats) {

@@ -162,6 +162,49 @@ TEST(QtraceSidecar, RoundTripsMissingFileAndCorruption) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(QtraceSidecar, RoundTripsTheCounterBlockAndEvents) {
+  const std::string dir = ::testing::TempDir() + "/p2pgen_sidecar_counters";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/sidecar.bin";
+
+  obs::Sidecar sidecar;
+  sidecar.qtrace_rate = 0.5;
+  sidecar.events = 123456789;
+  sidecar.counters = {0, 1, std::uint64_t{1} << 40, ~std::uint64_t{0}, 7};
+  sidecar.qtrace.resize(2);
+  sidecar.qtrace[1].time = 9.5;
+  sidecar.qtrace[1].query = 0x4242;
+  obs::save_sidecar(path, sidecar);
+  auto out = obs::load_sidecar(path);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->events, sidecar.events);
+  EXPECT_EQ(out->counters, sidecar.counters);
+  ASSERT_EQ(out->qtrace.size(), 2u);
+  EXPECT_TRUE(out->qtrace[1] == sidecar.qtrace[1]);
+
+  // A counter count that claims more bytes than the file holds is
+  // refused before anything is allocated (header bytes 28..31, CRC
+  // re-sealed so only the count check can catch it).
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  bytes[28] = '\xff';
+  bytes[29] = '\xff';
+  const std::uint32_t crc = util::crc32(bytes.data() + 4, bytes.size() - 8);
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xffU);
+  }
+  {
+    std::ofstream forged(path, std::ios::binary | std::ios::trunc);
+    forged << bytes;
+  }
+  EXPECT_THROW(obs::load_sidecar(path), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(QtraceSidecar, ChecksumTrailerDetectsSingleBitFlips) {
   const std::string dir = ::testing::TempDir() + "/p2pgen_qtrace_crc";
   std::filesystem::remove_all(dir);

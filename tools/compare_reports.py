@@ -2,18 +2,19 @@
 """Equivalence diff of two measurement_pipeline PipelineReport JSONs.
 
 The streaming-equivalence CI job runs the pipeline once in memory (the
-materialized analysis) and once with --checkpoint-dir (the streaming
-analysis of the spools) on the same arguments, and feeds both --metrics
-files here.  The comparison surface is everything the analysis derives
-from the trace:
+materialized analysis), once with --checkpoint-dir (the streaming
+analysis of the spools) and once as a plain --resume of that finished
+checkpoint, on the same arguments, and feeds --metrics files here: the
+checkpointed run's and the resume's are each compared with the in-memory
+run's.  The comparison surface is everything the simulation counted and
+the analysis derived from the trace:
 
   * the robustness section (end-reason rows included),
   * the Table-2 filter section,
   * every metrics counter EXCEPT pass-shape namespaces that legitimately
-    differ between the two executions: pool.* (scheduler internals),
-    recovery.* (only the checkpointed run recovers), streaming.*
-    (describes the streaming pass itself) and process.* (RSS — differing
-    is the point),
+    differ between the executions: recovery.* (only the checkpointed run
+    recovers), streaming.* (describes the streaming pass itself) and
+    process.* (RSS — differing is the point),
   * every metrics histogram (same exclusions): bounds, per-bucket
     counts, total count and sum must all match — the qtrace hop-count /
     fan-out / drop-reason / hit-latency distributions live here.
@@ -53,7 +54,7 @@ still pinning the shape of the day.
 import json
 import sys
 
-EXCLUDED_PREFIXES = ("pool.", "recovery.", "streaming.", "process.")
+EXCLUDED_PREFIXES = ("recovery.", "streaming.", "process.")
 MAX_POINT_PROBLEMS = 20
 
 
